@@ -26,7 +26,7 @@ from ..exceptions import (
     InternalInvariantError,
     NotFittedError,
 )
-from ..queries.query import Query, QueryResultPair
+from ..queries.query import Query, QueryResultPair, norm_groups, query_matrix
 from ..queries.stream import LabelledWorkload
 from .avq import GrowingQuantizer
 from .convergence import ConvergenceRecord, ConvergenceTracker
@@ -371,7 +371,7 @@ class LLMModel:
     def predict_mean_batch(
         self,
         queries: Sequence[Query] | np.ndarray,
-        norm_order: float | None = None,
+        norm_order: float | np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched Q1 prediction (Algorithm 2 as matrix arithmetic).
 
@@ -379,25 +379,22 @@ class LLMModel:
         ----------
         queries:
             Either a sequence of :class:`~repro.queries.query.Query` objects
-            (their own norm orders are honoured, grouped per order) or a raw
-            ``(m, d + 1)`` matrix of ``[x, theta]`` rows.
+            (their own norm orders are honoured) or a raw ``(m, d + 1)``
+            matrix of ``[x, theta]`` rows.
         norm_order:
-            The Lp order used with a raw matrix; defaults to the model's
+            The Lp order of a raw matrix: one order for every row or an
+            ``(m,)`` column of per-row orders; defaults to the model's
             configured norm.  Ignored for :class:`Query` sequences.
+
+        Rows are grouped per distinct norm order and each group is one
+        kernel call.
         """
-        predictor = self._predictor()
-        if isinstance(queries, np.ndarray):
-            order = norm_order if norm_order is not None else self.config.norm_order
-            return predictor.predict_mean_batch(queries, norm_order=order)
-        out = np.empty(len(queries), dtype=float)
-        for order, indices, matrix in self._query_matrix_groups(queries):
-            out[indices] = predictor.predict_mean_batch(matrix, norm_order=order)
-        return out
+        return self.predict_mean_batch_with_coverage(queries, norm_order)[0]
 
     def predict_mean_batch_with_coverage(
         self,
         queries: Sequence[Query] | np.ndarray,
-        norm_order: float | None = None,
+        norm_order: float | np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched Q1 prediction plus the per-query coverage mask.
 
@@ -406,35 +403,29 @@ class LLMModel:
         (non-empty ``W(q)``).  Uncovered queries are answered by
         extrapolation from the closest prototype — the low-confidence
         signal the hybrid serving layer uses to fall back to the exact
-        engine.
+        engine.  Inputs are as in :meth:`predict_mean_batch`.
         """
         predictor = self._predictor()
-        if isinstance(queries, np.ndarray):
-            order = norm_order if norm_order is not None else self.config.norm_order
-            return predictor.predict_mean_batch_with_coverage(queries, norm_order=order)
-        values = np.empty(len(queries), dtype=float)
-        covered = np.empty(len(queries), dtype=bool)
-        for order, indices, matrix in self._query_matrix_groups(queries):
-            group_values, group_covered = predictor.predict_mean_batch_with_coverage(
-                matrix, norm_order=order
+        matrix, groups = self._norm_groups(queries, norm_order)
+        values = np.empty(len(matrix), dtype=float)
+        covered = np.empty(len(matrix), dtype=bool)
+        for order, rows in groups:
+            values[rows], covered[rows] = predictor.predict_mean_batch_with_coverage(
+                matrix[rows], norm_order=order
             )
-            values[indices] = group_values
-            covered[indices] = group_covered
         return values, covered
 
     def coverage_batch(
         self,
         queries: Sequence[Query] | np.ndarray,
-        norm_order: float | None = None,
+        norm_order: float | np.ndarray | None = None,
     ) -> np.ndarray:
         """Return the boolean coverage mask of a query batch (``W(q)`` non-empty)."""
         predictor = self._predictor()
-        if isinstance(queries, np.ndarray):
-            order = norm_order if norm_order is not None else self.config.norm_order
-            return predictor.batch_coverage(queries, norm_order=order)
-        covered = np.empty(len(queries), dtype=bool)
-        for order, indices, matrix in self._query_matrix_groups(queries):
-            covered[indices] = predictor.batch_coverage(matrix, norm_order=order)
+        matrix, groups = self._norm_groups(queries, norm_order)
+        covered = np.empty(len(matrix), dtype=bool)
+        for order, rows in groups:
+            covered[rows] = predictor.batch_coverage(matrix[rows], norm_order=order)
         return covered
 
     def regression_models(self, query: Query) -> list[RegressionPlane]:
@@ -444,25 +435,15 @@ class LLMModel:
     def predict_q2_batch(
         self,
         queries: Sequence[Query] | np.ndarray,
-        norm_order: float | None = None,
+        norm_order: float | np.ndarray | None = None,
     ) -> list[list[RegressionPlane]]:
         """Batched Q2 prediction: the plane list of every query in one pass."""
-        predictor = self._predictor()
-        if isinstance(queries, np.ndarray):
-            order = norm_order if norm_order is not None else self.config.norm_order
-            return predictor.predict_q2_batch(queries, norm_order=order)
-        results: list[list[RegressionPlane] | None] = [None] * len(queries)
-        for order, indices, matrix in self._query_matrix_groups(queries):
-            for position, planes in zip(
-                indices, predictor.predict_q2_batch(matrix, norm_order=order)
-            ):
-                results[int(position)] = planes
-        return results  # type: ignore[return-value]
+        return self.predict_q2_batch_with_coverage(queries, norm_order)[0]
 
     def predict_q2_batch_with_coverage(
         self,
         queries: Sequence[Query] | np.ndarray,
-        norm_order: float | None = None,
+        norm_order: float | np.ndarray | None = None,
     ) -> tuple[list[list[RegressionPlane]], np.ndarray]:
         """Batched Q2 prediction plus the per-query coverage mask.
 
@@ -471,34 +452,29 @@ class LLMModel:
         extrapolated closest-prototype plane.
         """
         predictor = self._predictor()
-        if isinstance(queries, np.ndarray):
-            order = norm_order if norm_order is not None else self.config.norm_order
-            return predictor.predict_q2_batch_with_coverage(queries, norm_order=order)
-        results: list[list[RegressionPlane] | None] = [None] * len(queries)
-        covered = np.empty(len(queries), dtype=bool)
-        for order, indices, matrix in self._query_matrix_groups(queries):
-            group_planes, group_covered = predictor.predict_q2_batch_with_coverage(
-                matrix, norm_order=order
+        matrix, groups = self._norm_groups(queries, norm_order)
+        results: list[list[RegressionPlane]] = [[] for _ in range(len(matrix))]
+        covered = np.empty(len(matrix), dtype=bool)
+        for order, rows in groups:
+            group_planes, covered[rows] = predictor.predict_q2_batch_with_coverage(
+                matrix[rows], norm_order=order
             )
-            covered[indices] = group_covered
-            for position, planes in zip(indices, group_planes):
-                results[int(position)] = planes
-        return results, covered  # type: ignore[return-value]
+            for position, planes in zip(rows.tolist(), group_planes):
+                results[position] = planes
+        return results, covered
 
-    @staticmethod
-    def _query_matrix_groups(
-        queries: Sequence[Query],
-    ) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        """Group a query sequence into per-norm-order ``(m, d + 1)`` matrices."""
-        if len(queries) == 0:
-            return []
-        orders = np.array([query.norm_order for query in queries], dtype=float)
-        vectors = np.vstack([query.to_vector() for query in queries])
-        groups: list[tuple[float, np.ndarray, np.ndarray]] = []
-        for order in np.unique(orders):
-            indices = np.nonzero(orders == order)[0]
-            groups.append((float(order), indices, vectors[indices]))
-        return groups
+    def _norm_groups(
+        self,
+        queries: Sequence[Query] | np.ndarray,
+        norm_order: float | np.ndarray | None,
+    ) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
+        """The batch's ``(m, d + 1)`` matrix and its per-norm-order row groups."""
+        if isinstance(queries, np.ndarray):
+            matrix = np.atleast_2d(queries)
+            norms = self.config.norm_order if norm_order is None else norm_order
+        else:
+            matrix, norms = query_matrix(queries)
+        return matrix, norm_groups(norms, len(matrix))
 
     def predict_value(self, point: np.ndarray, radius: float | None = None) -> float:
         """Predict the data value ``u ≈ g(x)`` at a point (Equation 14).

@@ -225,6 +225,7 @@ class NeighborhoodPredictor:
             self._means = np.empty(0)
             self._slopes = np.empty((0, 0))
             self._center_slopes = np.empty((0, 0))
+        self._plane_rows: tuple[list, list, list, list] | None = None
         if use_pruning_index is None:
             use_pruning_index = len(maps) >= DEFAULT_PRUNING_THRESHOLD
         self._pruning_index: "PrototypeIndex | None" = None
@@ -432,6 +433,47 @@ class NeighborhoodPredictor:
             weights[rows, positions] = 1.0
         return weights, extrapolated, columns
 
+    def _regression_plane_rows(self) -> tuple[list, list, list, list]:
+        """Per-prototype plane parts: intercepts, slopes, centers, radii.
+
+        Computed once per snapshot, on the first Q2 batch.  The intercept
+        is evaluated exactly as :meth:`LocalLinearMap.regression_plane`
+        does, so batched planes are bit-identical to per-map ones; slopes
+        and centers are rows of read-only ``(K, d)`` arrays.
+        """
+        if self._plane_rows is None:
+            intercepts = [
+                llm.mean_output - float(llm.center_slope @ llm.center)
+                for llm in self._maps
+            ]
+            slopes = np.array(self._center_slopes)
+            centers = np.array(self._centers)
+            slopes.setflags(write=False)
+            centers.setflags(write=False)
+            self._plane_rows = (
+                intercepts, list(slopes), list(centers), self._radii.tolist()
+            )
+        return self._plane_rows
+
+    def _plane_lists(
+        self, weights: np.ndarray, columns: np.ndarray | None
+    ) -> list[list[RegressionPlane]]:
+        """The plane list of every weight row (nonzero entries, column order)."""
+        intercepts, slopes, centers, radii = self._regression_plane_rows()
+        rows, local = np.nonzero(weights)
+        plane_weights = weights[rows, local].tolist()
+        indices = (local if columns is None else columns[local]).tolist()
+        make = RegressionPlane.from_snapshot_row
+        results: list[list[RegressionPlane]] = [[] for _ in range(weights.shape[0])]
+        for row, index, weight in zip(rows.tolist(), indices, plane_weights):
+            results[row].append(
+                make(
+                    intercepts[index], slopes[index], centers[index], radii[index],
+                    weight,
+                )
+            )
+        return results
+
     def _evaluate_all_maps(
         self, matrix: np.ndarray, columns: np.ndarray | None = None
     ) -> np.ndarray:
@@ -532,8 +574,9 @@ class NeighborhoodPredictor:
         """Return the Q2 answer (list of regression planes) for each query.
 
         The neighbourhood weights of the whole batch are computed with the
-        same dense matrix pass as :meth:`predict_mean_batch`; only the final
-        materialisation of the per-query plane lists walks Python objects.
+        same dense matrix pass as :meth:`predict_mean_batch`; the planes are
+        then assembled from per-snapshot intercept/slope rows, so only the
+        returned plane objects themselves are built per query.
         """
         return self.predict_q2_batch_with_coverage(query_matrix, norm_order)[0]
 
@@ -548,17 +591,7 @@ class NeighborhoodPredictor:
         """
         matrix = self._as_query_matrix(query_matrix)
         weights, extrapolated, columns = self._batch_weight_matrix(matrix, norm_order)
-        results: list[list[RegressionPlane]] = []
-        for row in weights:
-            indices = np.nonzero(row)[0]
-            mapped = indices if columns is None else columns[indices]
-            results.append(
-                [
-                    self._maps[int(index)].regression_plane(weight=float(row[local]))
-                    for local, index in zip(indices, mapped)
-                ]
-            )
-        return results, ~extrapolated
+        return self._plane_lists(weights, columns), ~extrapolated
 
     # ------------------------------------------------------------------ #
     # A2: data-value prediction (Equation 14)

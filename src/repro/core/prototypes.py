@@ -60,6 +60,32 @@ class RegressionPlane:
         object.__setattr__(self, "prototype_radius", float(self.prototype_radius))
         object.__setattr__(self, "weight", float(self.weight))
 
+    @classmethod
+    def from_snapshot_row(
+        cls,
+        intercept: float,
+        slope: np.ndarray,
+        prototype_center: np.ndarray,
+        prototype_radius: float,
+        weight: float,
+    ) -> "RegressionPlane":
+        """Build a plane from already-validated snapshot rows.
+
+        The batched Q2 path assembles many planes per query from the
+        predictor's read-only ``(K, d)`` slope/center arrays, whose rows
+        are float, one-dimensional and consistent by construction; this
+        skips :meth:`__post_init__`'s per-plane re-validation and copies.
+        """
+        plane = object.__new__(cls)
+        plane.__dict__.update(
+            intercept=intercept,
+            slope=slope,
+            prototype_center=prototype_center,
+            prototype_radius=prototype_radius,
+            weight=weight,
+        )
+        return plane
+
     @property
     def dimension(self) -> int:
         return int(self.slope.shape[0])

@@ -32,8 +32,12 @@ immediately (the window is a latency bound, not a throughput one).
 
 **Version-keyed answer cache.**  Repeated dashboard traffic is
 short-circuited by an :class:`AnswerCache` keyed on the canonicalised
-query (vector + norm order), the statement kind, the execution mode and
-the table's ``(model_version, registry_epoch)`` pair.  The epoch
+query (its ``[x, theta]`` row bytes + resolved norm order), the statement
+kind, the execution mode and the table's ``(model_version,
+registry_epoch)`` pair, read once per table per script.  Keys come from
+the parsed batch's rows; statement validation (syntax, finite values,
+center width) happens on the submitting thread, so an invalid statement
+is rejected there and never reaches a shared flush.  The epoch
 (:meth:`~repro.dbms.serving.AnalyticsService.registry_epoch_for`) advances
 on every model hot-swap and engine registration, so a swap — or a
 rollback restoring an older version marker — invalidates naturally: a key
@@ -60,26 +64,26 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from ..analysis.instrument import make_lock, note_access
 from ..exceptions import (
     ConfigurationError,
-    EmptySubspaceError,
     ServiceClosedError,
     ServiceOverloadedError,
-    SQLSyntaxError,
 )
 from .serving import (
     _CALLER_ERRORS,
-    _MODES,
-    _ON_ERROR,
     AnalyticsService,
     ServingStatistics,
     StatementResult,
+    _bare_value,
+    check_call,
 )
-from .sqlfront import ParsedStatement
+from .sqlfront import KINDS, ParsedStatement, StatementBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..testing.faults import FaultInjector
@@ -290,24 +294,14 @@ class ScriptFuture:
         return results
 
 
-class _PendingEntry:
+class _PendingEntry(NamedTuple):
     """One admitted statement waiting in (or flushing from) the coalescer."""
 
-    __slots__ = ("statement", "key", "future", "origin", "enqueued_at")
-
-    def __init__(
-        self,
-        statement: ParsedStatement,
-        key: tuple | None,
-        future: "Future[StatementResult]",
-        origin: int,
-        enqueued_at: float,
-    ) -> None:
-        self.statement = statement
-        self.key = key
-        self.future = future
-        self.origin = origin
-        self.enqueued_at = enqueued_at
+    statement: ParsedStatement
+    key: tuple | None
+    future: "Future[StatementResult]"
+    origin: int
+    enqueued_at: float
 
 
 class _PendingGroup:
@@ -597,33 +591,25 @@ class ConcurrentAnalyticsService:
             raise ServiceClosedError(
                 "the concurrent serving front has been closed"
             )
-        if mode not in _MODES:
-            raise SQLSyntaxError(
-                f"unknown execution mode {mode!r} (expected one of {_MODES})"
-            )
-        if on_error not in _ON_ERROR:
-            raise ConfigurationError(
-                f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
-            )
-        statements = AnalyticsService._parse_input(script)
-        futures: list[Future[StatementResult]] = [
-            Future() for _ in statements
-        ]
+        check_call(mode, on_error)
+        batch = AnalyticsService._parse_input(script)
+        norms = self._service.resolve_batch(batch)
+        statements = batch.statements
+        keys = self._cache_keys(batch, norms, mode)
+        futures: list[Future[StatementResult]] = [Future() for _ in statements]
         origin = next(self._origins)
         lookup_start = self._clock()
         hits: list[tuple[int, StatementResult]] = []
         misses: list[tuple[int, ParsedStatement, tuple | None]] = []
-        for position, statement in enumerate(statements):
-            key = self._cache_key(statement, mode)
+        for position, (statement, key) in enumerate(zip(statements, keys)):
             if key is not None:
                 cached = self._cache.get(key)  # type: ignore[union-attr]
                 if cached is not None:
-                    hits.append(
-                        (
-                            position,
-                            replace(cached, statement=statement, cached=True),
-                        )
+                    hit = StatementResult(
+                        statement, cached.value, cached.source, cached.empty,
+                        cached.degraded, cached.error, cached=True,
                     )
+                    hits.append((position, hit))
                     continue
             misses.append((position, statement, key))
         # Admission control happens before anything is resolved or
@@ -684,15 +670,9 @@ class ConcurrentAnalyticsService:
         and an empty exact Q1/Q2 subspace raises
         :class:`~repro.exceptions.EmptySubspaceError`.
         """
-        result = self.execute_script([sql], mode=mode, timeout=timeout)[0]
-        if result.error is not None:
-            raise result.error
-        if result.empty and result.kind != "count":
-            raise EmptySubspaceError(
-                f"statement over table {result.table!r} selected no rows; its "
-                f"exact {result.kind.upper()} answer is undefined"
-            )
-        return result.value
+        return _bare_value(
+            self.execute_script([sql], mode=mode, timeout=timeout)[0]
+        )
 
     # ------------------------------------------------------------------ #
     # admission / cache keys
@@ -740,27 +720,44 @@ class ConcurrentAnalyticsService:
         except InvalidStateError:
             pass
 
-    def _cache_key(self, statement: ParsedStatement, mode: str) -> tuple | None:
-        """The versioned cache key of a statement, ``None`` when uncacheable."""
+    def _cache_keys(
+        self, batch: StatementBatch, norms: np.ndarray, mode: str
+    ) -> list[tuple | None]:
+        """The versioned cache key of every statement (``None``: uncacheable).
+
+        A key is ``(table, kind, mode, model_version, registry_epoch, norm,
+        row bytes)``, the row being the statement's canonical ``[x, theta]``
+        float64 row under its resolved norm.  Version and epoch are read
+        once per table per script.
+        """
+        keys: list[tuple | None] = [None] * len(batch)
         if self._cache is None:
-            return None
-        table = statement.table
-        query = self._service.query_for(statement)
-        version = self._service.model_version_for(table)
-        epoch = self._service.registry_epoch_for(table)
-        try:
-            hash(version)
-        except TypeError:
-            return None  # exotic unhashable version markers: skip caching
-        return (
-            table,
-            statement.kind,
-            mode,
-            version,
-            epoch,
-            query.norm_order,
-            query.to_vector().tobytes(),
-        )
+            return keys
+        kinds = [KINDS[code] for code in batch.kinds.tolist()]
+        for code, table in enumerate(batch.table_names):
+            version = self._service.model_version_for(table)
+            epoch = self._service.registry_epoch_for(table)
+            try:
+                hash(version)
+            except TypeError:
+                continue  # exotic unhashable version markers: skip caching
+            rows = np.flatnonzero(batch.tables == code)
+            vectors = batch.query_matrix(rows)
+            size = vectors.shape[1] * vectors.itemsize
+            data = vectors.tobytes()
+            for offset, (row, norm) in enumerate(
+                zip(rows.tolist(), norms[rows].tolist())
+            ):
+                keys[row] = (
+                    table,
+                    kinds[row],
+                    mode,
+                    version,
+                    epoch,
+                    norm,
+                    data[offset * size : (offset + 1) * size],
+                )
+        return keys
 
     # ------------------------------------------------------------------ #
     # coalescer
@@ -874,12 +871,7 @@ class ConcurrentAnalyticsService:
                 statements=len(entries),
             )
             results = [
-                StatementResult(
-                    statement=entry.statement,
-                    value=None,
-                    source="error",
-                    error=exc,
-                )
+                StatementResult(entry.statement, None, "error", error=exc)
                 for entry in entries
             ]
             cacheable = False
@@ -888,14 +880,8 @@ class ConcurrentAnalyticsService:
         latencies = [now - entry.enqueued_at for entry in entries]
         stats = self.statistics_for(table)
         with self._stats_lock:
-            stats.record_batch(
-                len(results),
-                model_answered=sum(r.source == "model" for r in results),
-                exact_answered=sum(r.source == "exact" for r in results),
-                fallbacks=sum(r.source == "fallback" for r in results),
-                empties=sum(r.empty for r in results),
-                errors=sum(r.source == "error" for r in results),
-                degraded=sum(r.degraded for r in results),
+            stats.record_results(
+                results,
                 coalesce_width=width,
                 seconds=now - start,
                 latency_seconds=latencies,

@@ -32,10 +32,11 @@ from ..exceptions import (
     ConfigurationError,
     EmptySubspaceError,
     InternalInvariantError,
+    InvalidQueryError,
     StorageError,
 )
 from ..queries.geometry import lp_distance_matrix, pairwise_lp_distance
-from ..queries.query import Query, QueryAnswer
+from ..queries.query import Query, QueryAnswer, norm_groups, query_matrix
 from .spatial_index import (
     GridIndex,
     batch_grid_cells_per_dimension,
@@ -458,35 +459,58 @@ def solve_q2_sufficient_statistics(
     )
 
 
-def _group_by_norm_order(queries: Sequence[Query]) -> list[tuple[float, np.ndarray]]:
-    """Group batch positions by norm order (preserving original positions)."""
-    orders = np.array([query.norm_order for query in queries], dtype=float)
-    groups: list[tuple[float, np.ndarray]] = []
-    for order in np.unique(orders):
-        groups.append((float(order), np.nonzero(orders == order)[0]))
-    return groups
+def _batch_columns(
+    queries: Sequence[Query] | np.ndarray,
+    norm_order: float | np.ndarray | None,
+    on_empty: str,
+    dimension: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shared batch validation of the exact engines (single and sharded).
 
-
-def _validate_batch_queries(
-    queries: Sequence[Query], on_empty: str, dimension: int
-) -> list[Query]:
-    """Shared batch validation of the exact engines (single and sharded)."""
+    ``queries`` is a sequence of :class:`Query` objects (converted once) or
+    a raw ``(m, d + 1)`` ``[x, theta]`` matrix whose Lp orders come from
+    ``norm_order`` — one order or an ``(m,)`` column, Euclidean when
+    omitted.  Returns the ``(m, d + 1)`` matrix and the ``(m,)`` norm
+    column.
+    """
     if on_empty not in ("raise", "null"):
         raise ConfigurationError(
             f"on_empty must be 'raise' or 'null', got {on_empty!r}"
         )
-    batch = list(queries)
-    for query in batch:
-        if query.dimension != dimension:
-            raise StorageError(
-                f"query has dimension {query.dimension} but the dataset has "
-                f"{dimension}"
-            )
-    return batch
+    if not isinstance(queries, np.ndarray):
+        batch = list(queries)
+        for query in batch:
+            if query.dimension != dimension:
+                raise StorageError(
+                    f"query has dimension {query.dimension} but the dataset has "
+                    f"{dimension}"
+                )
+        return query_matrix(batch)
+    matrix = np.atleast_2d(np.asarray(queries, dtype=float))
+    if matrix.shape[1] != dimension + 1:
+        raise StorageError(
+            f"query matrix has width {matrix.shape[1]} but the dataset needs "
+            f"{dimension + 1} (center plus radius)"
+        )
+    norms = np.broadcast_to(
+        np.asarray(2.0 if norm_order is None else norm_order, dtype=float),
+        (matrix.shape[0],),
+    )
+    if (
+        not np.all(np.isfinite(matrix))
+        or np.any(matrix[:, -1] <= 0.0)
+        or np.any(norms < 1.0)
+    ):
+        raise InvalidQueryError(
+            "query matrix rows need finite values, positive radii and norm "
+            "orders >= 1"
+        )
+    return matrix, norms
 
 
 def _raise_on_empty_answers(
-    batch: list[Query],
+    matrix: np.ndarray,
+    norms: np.ndarray,
     answers: list[QueryAnswer | None],
     on_empty: str,
     label: str,
@@ -496,9 +520,10 @@ def _raise_on_empty_answers(
         return
     for position, answer in enumerate(answers):
         if answer is None:
+            query = Query.from_vector(matrix[position], norms[position])
             raise EmptySubspaceError(
-                f"query {batch[position]!r} selected no rows; its {label} "
-                "answer is undefined"
+                f"query {query!r} selected no rows; its {label} answer is "
+                "undefined"
             )
 
 
@@ -911,13 +936,12 @@ class ExactQueryEngine:
     # ------------------------------------------------------------------ #
     # batched execution
     # ------------------------------------------------------------------ #
-    def _validate_batch(
-        self, queries: Sequence[Query], on_empty: str
-    ) -> list[Query]:
-        return _validate_batch_queries(queries, on_empty, self.dimension)
-
     def execute_q1_batch(
-        self, queries: Sequence[Query], *, on_empty: str = "raise"
+        self,
+        queries: Sequence[Query] | np.ndarray,
+        *,
+        on_empty: str = "raise",
+        norm_order: float | np.ndarray | None = None,
     ) -> list[QueryAnswer | None]:
         """Execute many exact Q1 queries in one pass, amortising overheads.
 
@@ -931,23 +955,26 @@ class ExactQueryEngine:
         Parameters
         ----------
         queries:
-            The query batch.
+            The query batch: :class:`Query` objects, or a raw ``(m, d + 1)``
+            ``[x, theta]`` matrix.
+        norm_order:
+            Lp order(s) of a raw matrix — one order or an ``(m,)`` column;
+            Euclidean when omitted.  Ignored for :class:`Query` sequences.
         on_empty:
             ``"raise"`` (default) raises
             :class:`~repro.exceptions.EmptySubspaceError` on the first query
             selecting no rows; ``"null"`` returns ``None`` in that query's
             slot instead, keeping the result aligned with the input.
         """
-        batch = self._validate_batch(queries, on_empty)
-        if not batch:
+        matrix, norms = _batch_columns(queries, norm_order, on_empty, self.dimension)
+        if not len(matrix):
             return []
         start = time.perf_counter()
-        answers: list[QueryAnswer | None] = [None] * len(batch)
-        centers = np.vstack([query.center for query in batch])
-        radii = np.array([query.radius for query in batch])
+        answers: list[QueryAnswer | None] = [None] * len(matrix)
+        centers, radii = matrix[:, :-1], matrix[:, -1]
         scanned = 0
         selected = 0
-        for order, group in _group_by_norm_order(batch):
+        for order, group in norm_groups(norms, len(matrix)):
             group_centers = centers[group]
             group_radii = radii[group]
             if self._pipeline is not None:
@@ -964,12 +991,16 @@ class ExactQueryEngine:
             selected += int(counts.sum())
             _fill_q1_answers(answers, group, counts, sums)
         elapsed = time.perf_counter() - start
-        self.statistics.record_batch(len(batch), scanned, selected, elapsed)
-        self._raise_on_empty(batch, answers, on_empty, "Q1")
+        self.statistics.record_batch(len(matrix), scanned, selected, elapsed)
+        self._raise_on_empty(matrix, norms, answers, on_empty, "Q1")
         return answers
 
     def execute_q2_batch(
-        self, queries: Sequence[Query], *, on_empty: str = "raise"
+        self,
+        queries: Sequence[Query] | np.ndarray,
+        *,
+        on_empty: str = "raise",
+        norm_order: float | np.ndarray | None = None,
     ) -> list[QueryAnswer | None]:
         """Execute many exact Q2 (regression) queries in one pass.
 
@@ -983,19 +1014,19 @@ class ExactQueryEngine:
         the R² variance ratio to 1e-9) while the batch throughput is several
         times the per-query loop's.
 
-        ``on_empty`` behaves exactly as in :meth:`execute_q1_batch`.
+        ``queries``, ``norm_order`` and ``on_empty`` behave exactly as in
+        :meth:`execute_q1_batch`.
         """
-        batch = self._validate_batch(queries, on_empty)
-        if not batch:
+        matrix, norms = _batch_columns(queries, norm_order, on_empty, self.dimension)
+        if not len(matrix):
             return []
         start = time.perf_counter()
-        answers: list[QueryAnswer | None] = [None] * len(batch)
-        centers = np.vstack([query.center for query in batch])
-        radii = np.array([query.radius for query in batch])
+        answers: list[QueryAnswer | None] = [None] * len(matrix)
+        centers, radii = matrix[:, :-1], matrix[:, -1]
         scanned = 0
         selected = 0
         fallback_positions: list[int] = []
-        for order, group in _group_by_norm_order(batch):
+        for order, group in norm_groups(norms, len(matrix)):
             group_centers = centers[group]
             group_radii = radii[group]
             if self._pipeline is not None:
@@ -1016,12 +1047,14 @@ class ExactQueryEngine:
             solution = solve_q2_sufficient_statistics(counts, moments, group_centers)
             _fill_q2_answers(answers, group, counts, solution, fallback_positions)
         for position in fallback_positions:
-            answer, fallback_scanned = self._execute_q2_dense(batch[position])
+            answer, fallback_scanned = self._execute_q2_dense(
+                Query.from_vector(matrix[position], norms[position])
+            )
             answers[position] = answer
             scanned += fallback_scanned
         elapsed = time.perf_counter() - start
-        self.statistics.record_batch(len(batch), scanned, selected, elapsed)
-        self._raise_on_empty(batch, answers, on_empty, "Q2")
+        self.statistics.record_batch(len(matrix), scanned, selected, elapsed)
+        self._raise_on_empty(matrix, norms, answers, on_empty, "Q2")
         return answers
 
     def _execute_q2_dense(self, query: Query) -> tuple[QueryAnswer, int]:

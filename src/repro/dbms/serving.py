@@ -49,6 +49,19 @@ Serving statistics mirror the engines'
 :class:`~repro.dbms.executor.ExecutionStatistics` idiom: O(1) running
 aggregates per table (statement counts by answer source, wall-clock
 totals and extrema), mergeable into a service-wide view.
+
+Where objects are built
+-----------------------
+A script travels as columns from text to the kernels: the parsed
+:class:`~repro.dbms.sqlfront.StatementBatch` is grouped by ``(table,
+kind)``, norms are resolved per table, and each group reaches the query
+log, the model tier and the exact engines as one ``(m, d + 1)`` matrix
+plus its norm column — no :class:`~repro.queries.query.Query` is built.
+Objects appear only at the API edge: one
+:class:`~repro.dbms.sqlfront.ParsedStatement` and one
+:class:`StatementResult` per returned statement, the
+:class:`~repro.core.prototypes.RegressionPlane` lists the model tier
+returns for Q2 groups, and the engines' ``QueryAnswer`` per exact answer.
 """
 
 from __future__ import annotations
@@ -58,8 +71,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Callable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,7 +89,7 @@ from ..queries.query import Query
 from ..queries.stream import QueryLog
 from .executor import ExactQueryEngine
 from .observer import ObserverHub
-from .sqlfront import ParsedStatement, parse_script, parse_statement
+from .sqlfront import ParsedStatement, StatementBatch, parse_script, parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..queries.query import QueryAnswer
@@ -318,6 +331,26 @@ class LatencyHistogram:
         self.counts[:] = 0
 
 
+#: Integer counters of :class:`ServingStatistics` that add up on merge,
+#: in serialisation order.
+_COUNTER_FIELDS = (
+    "statements_executed",
+    "batches_executed",
+    "model_answered",
+    "exact_answered",
+    "fallback_count",
+    "empty_count",
+    "error_count",
+    "degraded_count",
+    "retry_count",
+    "cache_hits",
+    "coalesced_batches",
+    "coalesce_width_sum",
+)
+#: Every integer field of :class:`ServingStatistics`, in serialisation order.
+_INTEGER_FIELDS = (*_COUNTER_FIELDS, "max_coalesce_width")
+
+
 @dataclass
 class ServingStatistics:
     """Cumulative serving statistics of one table (or of the whole service).
@@ -412,6 +445,32 @@ class ServingStatistics:
         else:
             self.latency.record(amortised, count)
 
+    def record_results(
+        self, results: "Sequence[StatementResult]", **counters: object
+    ) -> None:
+        """Add one group's answered statements, tallied in a single pass.
+
+        The per-source, empty and degraded counts come from ``results``;
+        ``counters`` are the remaining :meth:`record_batch` keywords
+        (``retries``, ``coalesce_width``, ``seconds``, ...).
+        """
+        sources = {"model": 0, "exact": 0, "fallback": 0, "error": 0}
+        empties = degraded = 0
+        for result in results:
+            sources[result.source] += 1
+            empties += result.empty
+            degraded += result.degraded
+        self.record_batch(
+            len(results),
+            model_answered=sources["model"],
+            exact_answered=sources["exact"],
+            fallbacks=sources["fallback"],
+            errors=sources["error"],
+            empties=empties,
+            degraded=degraded,
+            **counters,  # type: ignore[arg-type]
+        )
+
     @property
     def fallback_rate(self) -> float:
         """Fraction of executed statements answered by the hybrid fallback."""
@@ -478,31 +537,19 @@ class ServingStatistics:
         the p50/p99 latency series become first-class stored metrics
         without callers reaching into individual fields.
         """
-        metrics = {
-            "statements_executed": float(self.statements_executed),
-            "batches_executed": float(self.batches_executed),
-            "model_answered": float(self.model_answered),
-            "exact_answered": float(self.exact_answered),
-            "fallback_count": float(self.fallback_count),
-            "empty_count": float(self.empty_count),
-            "error_count": float(self.error_count),
-            "degraded_count": float(self.degraded_count),
-            "retry_count": float(self.retry_count),
-            "cache_hits": float(self.cache_hits),
-            "coalesced_batches": float(self.coalesced_batches),
-            "coalesce_width_sum": float(self.coalesce_width_sum),
-            "max_coalesce_width": float(self.max_coalesce_width),
-            "total_seconds": self.total_seconds,
-            "fallback_rate": self.fallback_rate,
-            "error_rate": self.error_rate,
-            "cache_hit_rate": self.cache_hit_rate,
-            "mean_coalesce_width": self.mean_coalesce_width,
-            "mean_seconds": self.mean_seconds,
-            "min_seconds": self.min_seconds,
-            "max_seconds": self.max_seconds,
-            "p50_seconds": self.p50_seconds,
-            "p99_seconds": self.p99_seconds,
-        }
+        metrics = {name: float(getattr(self, name)) for name in _INTEGER_FIELDS}
+        metrics.update(
+            total_seconds=self.total_seconds,
+            fallback_rate=self.fallback_rate,
+            error_rate=self.error_rate,
+            cache_hit_rate=self.cache_hit_rate,
+            mean_coalesce_width=self.mean_coalesce_width,
+            mean_seconds=self.mean_seconds,
+            min_seconds=self.min_seconds,
+            max_seconds=self.max_seconds,
+            p50_seconds=self.p50_seconds,
+            p99_seconds=self.p99_seconds,
+        )
         return {f"{prefix}{name}": value for name, value in metrics.items()}
 
     def to_dict(self) -> dict:
@@ -511,29 +558,18 @@ class ServingStatistics:
         The unused-sentinel ``min_statement_seconds = inf`` is mapped to
         ``None`` (JSON has no infinity); :meth:`from_dict` restores it.
         """
-        return {
-            "statements_executed": self.statements_executed,
-            "batches_executed": self.batches_executed,
-            "model_answered": self.model_answered,
-            "exact_answered": self.exact_answered,
-            "fallback_count": self.fallback_count,
-            "empty_count": self.empty_count,
-            "error_count": self.error_count,
-            "degraded_count": self.degraded_count,
-            "retry_count": self.retry_count,
-            "cache_hits": self.cache_hits,
-            "coalesced_batches": self.coalesced_batches,
-            "coalesce_width_sum": self.coalesce_width_sum,
-            "max_coalesce_width": self.max_coalesce_width,
-            "total_seconds": self.total_seconds,
-            "min_statement_seconds": (
+        payload: dict = {name: getattr(self, name) for name in _INTEGER_FIELDS}
+        payload.update(
+            total_seconds=self.total_seconds,
+            min_statement_seconds=(
                 None
                 if math.isinf(self.min_statement_seconds)
                 else self.min_statement_seconds
             ),
-            "max_statement_seconds": self.max_statement_seconds,
-            "latency_counts": [int(c) for c in self.latency.counts],
-        }
+            max_statement_seconds=self.max_statement_seconds,
+            latency_counts=[int(c) for c in self.latency.counts],
+        )
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServingStatistics":
@@ -541,19 +577,7 @@ class ServingStatistics:
         minimum = payload.get("min_statement_seconds")
         counts = payload.get("latency_counts")
         return cls(
-            statements_executed=int(payload.get("statements_executed", 0)),
-            batches_executed=int(payload.get("batches_executed", 0)),
-            model_answered=int(payload.get("model_answered", 0)),
-            exact_answered=int(payload.get("exact_answered", 0)),
-            fallback_count=int(payload.get("fallback_count", 0)),
-            empty_count=int(payload.get("empty_count", 0)),
-            error_count=int(payload.get("error_count", 0)),
-            degraded_count=int(payload.get("degraded_count", 0)),
-            retry_count=int(payload.get("retry_count", 0)),
-            cache_hits=int(payload.get("cache_hits", 0)),
-            coalesced_batches=int(payload.get("coalesced_batches", 0)),
-            coalesce_width_sum=int(payload.get("coalesce_width_sum", 0)),
-            max_coalesce_width=int(payload.get("max_coalesce_width", 0)),
+            **{name: int(payload.get(name, 0)) for name in _INTEGER_FIELDS},
             total_seconds=float(payload.get("total_seconds", 0.0)),
             min_statement_seconds=(
                 math.inf if minimum is None else float(minimum)
@@ -569,22 +593,11 @@ class ServingStatistics:
     def merge(self, other: "ServingStatistics") -> None:
         """Fold another statistics object into this one (counters add)."""
         note_access(self, "counters")
-        self.statements_executed += other.statements_executed
-        self.batches_executed += other.batches_executed
-        self.model_answered += other.model_answered
-        self.exact_answered += other.exact_answered
-        self.fallback_count += other.fallback_count
-        self.empty_count += other.empty_count
-        self.error_count += other.error_count
-        self.degraded_count += other.degraded_count
-        self.retry_count += other.retry_count
-        self.cache_hits += other.cache_hits
-        self.coalesced_batches += other.coalesced_batches
-        self.coalesce_width_sum += other.coalesce_width_sum
+        for name in (*_COUNTER_FIELDS, "total_seconds"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.max_coalesce_width = max(
             self.max_coalesce_width, other.max_coalesce_width
         )
-        self.total_seconds += other.total_seconds
         self.min_statement_seconds = min(
             self.min_statement_seconds, other.min_statement_seconds
         )
@@ -600,26 +613,14 @@ class ServingStatistics:
     def reset(self) -> None:
         """Clear all counters."""
         note_access(self, "counters")
-        self.statements_executed = 0
-        self.batches_executed = 0
-        self.model_answered = 0
-        self.exact_answered = 0
-        self.fallback_count = 0
-        self.empty_count = 0
-        self.error_count = 0
-        self.degraded_count = 0
-        self.retry_count = 0
-        self.cache_hits = 0
-        self.coalesced_batches = 0
-        self.coalesce_width_sum = 0
-        self.max_coalesce_width = 0
-        self.total_seconds = 0.0
-        self.min_statement_seconds = math.inf
-        self.max_statement_seconds = 0.0
+        fresh = ServingStatistics()
+        for item in fields(self):
+            if item.name != "latency":
+                setattr(self, item.name, getattr(fresh, item.name))
         self.latency.reset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StatementResult:
     """The served answer of one statement of a script.
 
@@ -1031,9 +1032,6 @@ class AnalyticsService:
             return float(order)
         return DEFAULT_NORM_ORDER
 
-    def _statement_query(self, statement: ParsedStatement) -> Query:
-        return statement.to_query(self.resolve_norm_order(statement.table))
-
     def query_for(self, statement: ParsedStatement) -> Query:
         """The fully-resolved :class:`~repro.queries.query.Query` of a statement.
 
@@ -1041,7 +1039,37 @@ class AnalyticsService:
         clause wins, then the registered model's geometry, then Euclidean)
         — the canonical query the statement is executed and cached under.
         """
-        return self._statement_query(statement)
+        return statement.to_query(self.resolve_norm_order(statement.table))
+
+    def resolve_batch(self, batch: StatementBatch) -> np.ndarray:
+        """The batch's norm column with every unset order resolved per table.
+
+        Also checks each statement's center width against its table's
+        registered model and engine: a mismatch is a caller error, raised
+        as :class:`~repro.exceptions.SQLSyntaxError` naming the statement
+        before any tier is called (so it never trips a circuit breaker).
+        """
+        for registry in (self._models, self._engines):
+            expected = np.array(
+                [
+                    getattr(registry.get(table), "dimension", None) or 0
+                    for table in batch.table_names
+                ],
+                dtype=np.intp,
+            )[batch.tables]
+            wrong = np.flatnonzero((expected > 0) & (batch.dims != expected))
+            if wrong.size:
+                position = int(wrong[0])
+                raise SQLSyntaxError(
+                    f"statement {position + 1} has a "
+                    f"{batch.dims[position]}-dimensional center but table "
+                    f"{batch[position].table!r} is {expected[position]}-dimensional: "
+                    f"{batch[position]!r}"
+                )
+        defaults = np.array(
+            [self.resolve_norm_order(table) for table in batch.table_names]
+        )
+        return np.where(np.isnan(batch.norms), defaults[batch.tables], batch.norms)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -1063,36 +1091,31 @@ class AnalyticsService:
         statement = (
             sql if isinstance(sql, ParsedStatement) else parse_statement(sql)
         )
-        result = self.execute_script([statement], mode=mode)[0]
-        if result.error is not None:
-            raise result.error
-        if result.empty and result.kind != "count":
-            raise EmptySubspaceError(
-                f"statement over table {result.table!r} selected no rows; its "
-                f"exact {result.kind.upper()} answer is undefined"
-            )
-        return result.value
+        return _bare_value(self.execute_script([statement], mode=mode)[0])
 
     def execute_script(
         self,
-        script: str | Sequence[str | ParsedStatement],
+        script: str | StatementBatch | Sequence[str | ParsedStatement],
         *,
         mode: str = "hybrid",
         on_error: str = "attach",
     ) -> list[StatementResult]:
         """Serve a multi-statement script through the batched fast paths.
 
-        The script (a ``;``-separated string, or a sequence of statement
-        strings / :class:`~repro.dbms.sqlfront.ParsedStatement` objects)
-        is parsed, grouped by ``(table, kind)``, and every group is served
-        in one batch: exact groups through ``execute_q1_batch`` /
-        ``execute_q2_batch``, model groups through ``predict_mean_batch``
-        / ``predict_q2_batch``, hybrid groups through the
-        coverage-reporting model paths with a single batched exact
-        fallback for the uncovered queries.  Results come back in
-        statement order; empty exact subspaces follow the documented
-        ``on_empty="null"`` contract (``value=None``, ``empty=True``)
-        instead of raising mid-script.
+        The script (a ``;``-separated string, a parsed
+        :class:`~repro.dbms.sqlfront.StatementBatch`, or a sequence of
+        statement strings / :class:`~repro.dbms.sqlfront.ParsedStatement`
+        objects) is parsed into one columnar batch, grouped by
+        ``(table, kind)``, and every group is served in one batch: exact
+        groups through ``execute_q1_batch`` / ``execute_q2_batch``, model
+        groups through ``predict_mean_batch`` / ``predict_q2_batch``,
+        hybrid groups through the coverage-reporting model paths with a
+        single batched exact fallback for the uncovered queries.  Each
+        group reaches the tiers as one ``(m, d + 1)`` matrix plus its
+        resolved norm column.  Results come back in statement order;
+        empty exact subspaces follow the documented ``on_empty="null"``
+        contract (``value=None``, ``empty=True``) instead of raising
+        mid-script.
 
         Fault containment: a runtime failure of one ``(table, kind)``
         group — an engine exception, a model exception, a timeout, an
@@ -1104,32 +1127,28 @@ class AnalyticsService:
         and registry/configuration errors
         (:class:`~repro.exceptions.SQLSyntaxError`,
         :class:`~repro.exceptions.ConfigurationError`) always raise —
-        they are caller bugs, not runtime faults.
+        they are caller bugs, not runtime faults; that includes a center
+        whose width does not match its table (:meth:`resolve_batch`).
         """
-        if mode not in _MODES:
-            raise SQLSyntaxError(
-                f"unknown execution mode {mode!r} (expected one of {_MODES})"
+        check_call(mode, on_error)
+        batch = self._parse_input(script)
+        norms = self.resolve_batch(batch)
+        statements = batch.statements
+        results: list[StatementResult | None] = [None] * len(batch)
+        for table, kind, positions in batch.groups():
+            group = _Group(
+                table,
+                kind,
+                [statements[i] for i in positions],
+                batch.query_matrix(positions),
+                norms[positions],
             )
-        if on_error not in _ON_ERROR:
-            raise ConfigurationError(
-                f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
-            )
-        statements = self._parse_input(script)
-        results: list[StatementResult | None] = [None] * len(statements)
-        groups: dict[tuple[str, str], list[int]] = {}
-        for position, statement in enumerate(statements):
-            groups.setdefault((statement.table, statement.kind), []).append(position)
-        for (table, kind), positions in groups.items():
-            group_statements = [statements[i] for i in positions]
-            queries = [self._statement_query(s) for s in group_statements]
             if self._query_log_size > 0:
-                self.query_log_for(table).record_many(queries)
+                self.query_log_for(table).record_many(group.matrix, group.norms)
             counters = {"retries": 0}
             start = time.perf_counter()
             try:
-                group_results = self._execute_group(
-                    table, kind, group_statements, queries, mode, counters
-                )
+                group_results = self._execute_group(group, mode, counters)
             except _CALLER_ERRORS:
                 raise
             except Exception as exc:
@@ -1137,27 +1156,17 @@ class AnalyticsService:
                     raise
                 self._hub.publish(
                     "group.error", table, statement_kind=kind, error=repr(exc),
-                    statements=len(group_statements),
+                    statements=len(positions),
                 )
                 group_results = [
-                    StatementResult(
-                        statement=statement, value=None, source="error", error=exc
-                    )
-                    for statement in group_statements
+                    StatementResult(statement, None, "error", error=exc)
+                    for statement in group.statements
                 ]
             elapsed = time.perf_counter() - start
             stats = self.statistics_for(table)
             with self._stats_lock:
-                stats.record_batch(
-                    len(group_results),
-                    model_answered=sum(r.source == "model" for r in group_results),
-                    exact_answered=sum(r.source == "exact" for r in group_results),
-                    fallbacks=sum(r.source == "fallback" for r in group_results),
-                    empties=sum(r.empty for r in group_results),
-                    errors=sum(r.source == "error" for r in group_results),
-                    degraded=sum(r.degraded for r in group_results),
-                    retries=counters["retries"],
-                    seconds=elapsed,
+                stats.record_results(
+                    group_results, retries=counters["retries"], seconds=elapsed
                 )
             for position, result in zip(positions, group_results):
                 results[position] = result
@@ -1165,14 +1174,18 @@ class AnalyticsService:
 
     @staticmethod
     def _parse_input(
-        script: str | Sequence[str | ParsedStatement],
-    ) -> list[ParsedStatement]:
+        script: str | StatementBatch | Sequence[str | ParsedStatement],
+    ) -> StatementBatch:
+        if isinstance(script, StatementBatch):
+            return script
         if isinstance(script, str):
             return parse_script(script)
-        return [
-            item if isinstance(item, ParsedStatement) else parse_statement(item)
-            for item in script
-        ]
+        return StatementBatch.from_statements(
+            [
+                item if isinstance(item, ParsedStatement) else parse_statement(item)
+                for item in script
+            ]
+        )
 
     # ------------------------------------------------------------------ #
     # guarded tier invocation (retry + timeout + circuit breaker)
@@ -1266,105 +1279,68 @@ class AnalyticsService:
     # group execution paths
     # ------------------------------------------------------------------ #
     def _execute_group(
-        self,
-        table: str,
-        kind: str,
-        statements: list[ParsedStatement],
-        queries: list[Query],
-        mode: str,
-        counters: dict,
+        self, group: "_Group", mode: str, counters: dict
     ) -> list[StatementResult]:
-        if kind == "count":
+        if group.kind == "count":
             if mode == "model":
                 raise SQLSyntaxError(
                     "COUNT(*) requires exact execution; the model does not "
                     "estimate cardinalities"
                 )
-            return self._execute_exact_group(
-                table, kind, statements, queries, "exact", counters
-            )
+            return self._execute_exact_group(group, "exact", counters)
         if mode == "exact":
-            return self._execute_exact_group(
-                table, kind, statements, queries, "exact", counters
-            )
+            return self._execute_exact_group(group, "exact", counters)
         if mode == "model":
-            return self._execute_model_group(
-                table, kind, statements, queries, counters
-            )
+            return self._execute_model_group(group, counters)
         # hybrid — capture the model reference once: a concurrent hot-swap
         # must never give one group two different models.
-        model = self._models.get(table)
+        model = self._models.get(group.table)
         if model is None:
             # No model to serve from: the whole group is exact (this is
             # deliberate registry state, not a coverage miss, so it does
             # not count toward the fallback rate).
-            return self._execute_exact_group(
-                table, kind, statements, queries, "exact", counters
-            )
+            return self._execute_exact_group(group, "exact", counters)
         if not getattr(model, "is_fitted", True):
             # A registered-but-untrained model covers nothing.
-            return self._execute_exact_group(
-                table, kind, statements, queries, "fallback", counters
-            )
-        return self._execute_hybrid_group(
-            table, kind, statements, queries, model, counters
-        )
-
-    def _batch_kwargs(self, engine: object) -> dict:
-        kwargs: dict = {"on_empty": "null"}
-        if self._route is not None and getattr(engine, "supports_route", False):
-            kwargs["route"] = self._route
-        return kwargs
+            return self._execute_exact_group(group, "fallback", counters)
+        return self._execute_hybrid_group(group, model, counters)
 
     def _execute_exact_group(
-        self,
-        table: str,
-        kind: str,
-        statements: list[ParsedStatement],
-        queries: list[Query],
-        source: str,
-        counters: dict,
+        self, group: "_Group", source: str, counters: dict
     ) -> list[StatementResult]:
-        engine = self.engine_for(table)
-        kwargs = self._batch_kwargs(engine)
-        results: list[StatementResult] = []
-        if kind == "q2":
-            answers = self._call_tier(
-                table,
-                "exact",
-                lambda: engine.execute_q2_batch(queries, **kwargs),  # type: ignore[attr-defined]
-                counters,
-            )
-            for statement, answer in zip(statements, answers):
-                results.append(self._exact_q2_result(statement, answer, source))
-            return results
+        engine = self.engine_for(group.table)
+        kwargs: dict = {"on_empty": "null", "norm_order": group.norms}
+        if self._route is not None and getattr(engine, "supports_route", False):
+            kwargs["route"] = self._route
+        execute_batch = (
+            engine.execute_q2_batch  # type: ignore[attr-defined]
+            if group.kind == "q2"
+            else engine.execute_q1_batch  # type: ignore[attr-defined]
+        )
         answers = self._call_tier(
-            table,
+            group.table,
             "exact",
-            lambda: engine.execute_q1_batch(queries, **kwargs),  # type: ignore[attr-defined]
+            lambda: execute_batch(group.matrix, **kwargs),
             counters,
         )
-        if kind == "count":
-            for statement, answer in zip(statements, answers):
-                # The count of an empty subspace is a defined answer: 0.
-                results.append(
-                    StatementResult(
-                        statement=statement,
-                        value=0 if answer is None else int(answer.cardinality),
-                        source=source,  # type: ignore[arg-type]
-                    )
-                )
-            return results
-        for statement, answer in zip(statements, answers):
-            results.append(
+        pairs = zip(group.statements, answers)
+        if group.kind == "q2":
+            return [self._exact_q2_result(s, answer, source) for s, answer in pairs]
+        if group.kind == "count":
+            # The count of an empty subspace is a defined answer: 0.
+            return [
                 StatementResult(
-                    statement=statement,
-                    value=None if answer is None else float(answer.mean),
-                    source=source,  # type: ignore[arg-type]
-                    empty=answer is None,
+                    s, 0 if answer is None else int(answer.cardinality), source
                 )
+                for s, answer in pairs
+            ]
+        return [
+            StatementResult(
+                s, None if answer is None else float(answer.mean), source,
+                answer is None,
             )
-        return results
+            for s, answer in pairs
+        ]
 
     @staticmethod
     def _exact_q2_result(
@@ -1379,58 +1355,35 @@ class AnalyticsService:
         :class:`~repro.exceptions.EmptySubspaceError`.
         """
         if answer is None or answer.coefficients is None:
-            return StatementResult(
-                statement=statement, value=None, source=source, empty=True  # type: ignore[arg-type]
-            )
+            return StatementResult(statement, None, source, True)
         intercept = float(answer.coefficients[0])
         slope = np.asarray(answer.coefficients[1:], dtype=float)
-        return StatementResult(
-            statement=statement, value=[(intercept, slope)], source=source  # type: ignore[arg-type]
+        return StatementResult(statement, [(intercept, slope)], source)
+
+    def _model_values(
+        self, group: "_Group", model: object, method: str, counters: dict
+    ):
+        """Run a model batch method on a group under the tier guard."""
+        return self._call_tier(
+            group.table,
+            "model",
+            lambda: getattr(model, method)(group.matrix, group.norms),
+            counters,
         )
 
     def _execute_model_group(
-        self,
-        table: str,
-        kind: str,
-        statements: list[ParsedStatement],
-        queries: list[Query],
-        counters: dict,
+        self, group: "_Group", counters: dict
     ) -> list[StatementResult]:
-        model = self.model_for(table)
-        if kind == "q1":
-            values = self._call_tier(
-                table,
-                "model",
-                lambda: model.predict_mean_batch(queries),  # type: ignore[attr-defined]
-                counters,
-            )
-            return [
-                StatementResult(statement=s, value=float(v), source="model")
-                for s, v in zip(statements, values)
-            ]
-        plane_lists = self._call_tier(
-            table,
-            "model",
-            lambda: model.predict_q2_batch(queries),  # type: ignore[attr-defined]
-            counters,
-        )
+        model = self.model_for(group.table)
+        method = "predict_mean_batch" if group.kind == "q1" else "predict_q2_batch"
+        values = self._model_values(group, model, method, counters)
         return [
-            StatementResult(
-                statement=s,
-                value=[(plane.intercept, plane.slope) for plane in planes],
-                source="model",
-            )
-            for s, planes in zip(statements, plane_lists)
+            StatementResult(s, value, "model")
+            for s, value in zip(group.statements, _answers(group.kind, values))
         ]
 
     def _execute_hybrid_group(
-        self,
-        table: str,
-        kind: str,
-        statements: list[ParsedStatement],
-        queries: list[Query],
-        model: object,
-        counters: dict,
+        self, group: "_Group", model: object, counters: dict
     ) -> list[StatementResult]:
         """Answer from the model; batch-fallback uncovered queries to exact.
 
@@ -1445,26 +1398,14 @@ class AnalyticsService:
         answers.  Either way the group answers — marked ``degraded`` —
         instead of erroring, as long as one tier survives.
         """
+        table = group.table
+        method = (
+            "predict_mean_batch_with_coverage"
+            if group.kind == "q1"
+            else "predict_q2_batch_with_coverage"
+        )
         try:
-            if kind == "q1":
-                values, covered = self._call_tier(
-                    table,
-                    "model",
-                    lambda: model.predict_mean_batch_with_coverage(queries),  # type: ignore[attr-defined]
-                    counters,
-                )
-                model_values: list = [float(v) for v in values]
-            else:
-                plane_lists, covered = self._call_tier(
-                    table,
-                    "model",
-                    lambda: model.predict_q2_batch_with_coverage(queries),  # type: ignore[attr-defined]
-                    counters,
-                )
-                model_values = [
-                    [(plane.intercept, plane.slope) for plane in planes]
-                    for planes in plane_lists
-                ]
+            values, covered = self._model_values(group, model, method, counters)
         except _CALLER_ERRORS:
             raise
         except Exception as exc:
@@ -1472,56 +1413,104 @@ class AnalyticsService:
                 raise
             # Model tier down: degrade the whole group to the exact tier.
             self._hub.publish(
-                "group.degraded", table, statement_kind=kind, tier="model",
-                reason=repr(exc), statements=len(statements),
+                "group.degraded", table, statement_kind=group.kind, tier="model",
+                reason=repr(exc), statements=len(group.statements),
             )
-            exact_results = self._execute_exact_group(
-                table, kind, statements, queries, "fallback", counters
-            )
-            return [replace(result, degraded=True) for result in exact_results]
-        covered = np.asarray(covered, dtype=bool)
+            return [
+                replace(result, degraded=True)
+                for result in self._execute_exact_group(group, "fallback", counters)
+            ]
+        results = [
+            StatementResult(s, value, "model")
+            for s, value in zip(group.statements, _answers(group.kind, values))
+        ]
         if table not in self._engines:
             # No exact tier to fall back to: serve everything from the
             # model (uncovered queries get the extrapolated answer).
-            return [
-                StatementResult(statement=s, value=v, source="model")
-                for s, v in zip(statements, model_values)
-            ]
-        results: list[StatementResult | None] = [None] * len(statements)
-        uncovered = np.nonzero(~covered)[0]
-        if uncovered.size:
-            uncovered_statements = [statements[int(i)] for i in uncovered]
-            uncovered_queries = [queries[int(i)] for i in uncovered]
-            try:
-                fallback_results = self._execute_exact_group(
-                    table, kind, uncovered_statements, uncovered_queries,
-                    "fallback", counters,
-                )
-            except _CALLER_ERRORS:
-                raise
-            except Exception as exc:
-                # Exact tier down: serve the uncovered queries from the
-                # model's extrapolated answers instead of failing them.
-                self._hub.publish(
-                    "group.degraded", table, statement_kind=kind, tier="exact",
-                    reason=repr(exc), statements=len(uncovered_statements),
-                )
-                fallback_results = [
-                    StatementResult(
-                        statement=statements[int(i)],
-                        value=model_values[int(i)],
-                        source="model",
-                        degraded=True,
-                    )
-                    for i in uncovered
-                ]
-            for position, result in zip(uncovered, fallback_results):
-                results[int(position)] = result
-        for position in np.nonzero(covered)[0]:
-            index = int(position)
-            results[index] = StatementResult(
-                statement=statements[index],
-                value=model_values[index],
-                source="model",
+            return results
+        uncovered = np.flatnonzero(~np.asarray(covered, dtype=bool)).tolist()
+        if not uncovered:
+            return results
+        try:
+            fallback_results = self._execute_exact_group(
+                group.take(uncovered), "fallback", counters
             )
-        return results  # type: ignore[return-value]
+        except _CALLER_ERRORS:
+            raise
+        except Exception as exc:
+            # Exact tier down: serve the uncovered queries from the
+            # model's extrapolated answers instead of failing them.
+            self._hub.publish(
+                "group.degraded", table, statement_kind=group.kind, tier="exact",
+                reason=repr(exc), statements=len(uncovered),
+            )
+            fallback_results = [
+                replace(results[position], degraded=True) for position in uncovered
+            ]
+        for position, result in zip(uncovered, fallback_results):
+            results[position] = result
+        return results
+
+
+class _Group(NamedTuple):
+    """One ``(table, kind)`` statement group of a script, in columnar form.
+
+    ``matrix`` holds the ``(m, d + 1)`` ``[x, theta]`` rows and ``norms``
+    the resolved ``(m,)`` Lp orders; ``statements`` are the objects the
+    group's results carry.
+    """
+
+    table: str
+    kind: str
+    statements: list[ParsedStatement]
+    matrix: np.ndarray
+    norms: np.ndarray
+
+    def take(self, positions: list[int]) -> "_Group":
+        """The sub-group of some of this group's statements."""
+        return _Group(
+            self.table,
+            self.kind,
+            [self.statements[i] for i in positions],
+            self.matrix[positions],
+            self.norms[positions],
+        )
+
+
+def _answers(kind: str, values: Sequence) -> list:
+    """Model-tier output as statement values.
+
+    Q1 values become floats; Q2 plane lists become lists of
+    ``(intercept, slope)`` pairs.
+    """
+    if kind == "q1":
+        return np.asarray(values, dtype=float).tolist()
+    return [[(plane.intercept, plane.slope) for plane in planes] for planes in values]
+
+
+def check_call(mode: str, on_error: str) -> None:
+    """Validate the ``mode`` / ``on_error`` arguments of a script call."""
+    if mode not in _MODES:
+        raise SQLSyntaxError(
+            f"unknown execution mode {mode!r} (expected one of {_MODES})"
+        )
+    if on_error not in _ON_ERROR:
+        raise ConfigurationError(
+            f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
+        )
+
+
+def _bare_value(result: StatementResult) -> object:
+    """The single-statement contract: a statement's value, or its error.
+
+    Attached errors re-raise and an empty exact Q1/Q2 subspace raises
+    :class:`~repro.exceptions.EmptySubspaceError`.
+    """
+    if result.error is not None:
+        raise result.error
+    if result.empty and result.kind != "count":
+        raise EmptySubspaceError(
+            f"statement over table {result.table!r} selected no rows; its "
+            f"exact {result.kind.upper()} answer is undefined"
+        )
+    return result.value

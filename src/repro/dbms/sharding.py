@@ -79,15 +79,14 @@ from ..exceptions import (
     StorageError,
 )
 from ..queries.geometry import pairwise_lp_distance
-from ..queries.query import Query, QueryAnswer
+from ..queries.query import Query, QueryAnswer, norm_groups
 from .executor import (
     ExecutionStatistics,
     SegmentedBatchPipeline,
+    _batch_columns,
     _fill_q1_answers,
     _fill_q2_answers,
-    _group_by_norm_order,
     _raise_on_empty_answers,
-    _validate_batch_queries,
     q1_sufficient_statistics_scan,
     q2_answer_from_rows,
     q2_sufficient_statistics_scan,
@@ -541,15 +540,13 @@ class ShardedQueryEngine:
     # ------------------------------------------------------------------ #
     # batched execution
     # ------------------------------------------------------------------ #
-    def _validate_batch(self, queries: Sequence[Query], on_empty: str) -> list[Query]:
-        return _validate_batch_queries(queries, on_empty, self.dimension)
-
     def execute_q1_batch(
         self,
-        queries: Sequence[Query],
+        queries: Sequence[Query] | np.ndarray,
         *,
         on_empty: str = "raise",
         route: str | None = None,
+        norm_order: float | np.ndarray | None = None,
     ) -> list[QueryAnswer | None]:
         """Execute a Q1 batch across all shards and merge ``(count, sum)``.
 
@@ -559,17 +556,18 @@ class ShardedQueryEngine:
         :class:`~repro.core.training.StreamingTrainer` uses so concurrent
         labelling and training runs can never leak a policy change onto a
         shared engine.  ``None`` (default) uses the engine's policy.
+        ``queries`` and ``norm_order`` are as in
+        :meth:`~repro.dbms.executor.ExactQueryEngine.execute_q1_batch`.
         """
-        batch = self._validate_batch(queries, on_empty)
-        if not batch:
+        matrix, norms = _batch_columns(queries, norm_order, on_empty, self.dimension)
+        if not len(matrix):
             return []
         start = time.perf_counter()
-        answers: list[QueryAnswer | None] = [None] * len(batch)
-        centers = np.vstack([query.center for query in batch])
-        radii = np.array([query.radius for query in batch])
+        answers: list[QueryAnswer | None] = [None] * len(matrix)
+        centers, radii = matrix[:, :-1], matrix[:, -1]
         scanned = 0
         selected = 0
-        for order, group in _group_by_norm_order(batch):
+        for order, group in norm_groups(norms, len(matrix)):
             counts, sums, scanned_group = self._shard_statistics(
                 centers[group], radii[group], order, "q1", route
             )
@@ -577,16 +575,17 @@ class ShardedQueryEngine:
             scanned += scanned_group
             _fill_q1_answers(answers, group, counts, sums)
         elapsed = time.perf_counter() - start
-        self.statistics.record_batch(len(batch), scanned, selected, elapsed)
-        self._raise_on_empty(batch, answers, on_empty, "Q1")
+        self.statistics.record_batch(len(matrix), scanned, selected, elapsed)
+        self._raise_on_empty(matrix, norms, answers, on_empty, "Q1")
         return answers
 
     def execute_q2_batch(
         self,
-        queries: Sequence[Query],
+        queries: Sequence[Query] | np.ndarray,
         *,
         on_empty: str = "raise",
         route: str | None = None,
+        norm_order: float | np.ndarray | None = None,
     ) -> list[QueryAnswer | None]:
         """Execute a Q2 batch across all shards via blocked OLS.
 
@@ -598,17 +597,16 @@ class ShardedQueryEngine:
         minimum-norm semantics exactly.  ``route`` scopes a routing policy
         to this batch only (see :meth:`execute_q1_batch`).
         """
-        batch = self._validate_batch(queries, on_empty)
-        if not batch:
+        matrix, norms = _batch_columns(queries, norm_order, on_empty, self.dimension)
+        if not len(matrix):
             return []
         start = time.perf_counter()
-        answers: list[QueryAnswer | None] = [None] * len(batch)
-        centers = np.vstack([query.center for query in batch])
-        radii = np.array([query.radius for query in batch])
+        answers: list[QueryAnswer | None] = [None] * len(matrix)
+        centers, radii = matrix[:, :-1], matrix[:, -1]
         scanned = 0
         selected = 0
         fallback_positions: list[int] = []
-        for order, group in _group_by_norm_order(batch):
+        for order, group in norm_groups(norms, len(matrix)):
             group_centers = centers[group]
             counts, moments, scanned_group = self._shard_statistics(
                 group_centers, radii[group], order, "q2", route
@@ -621,10 +619,12 @@ class ShardedQueryEngine:
         # rows-scanned statistic alongside the sharded passes.
         scanned += len(fallback_positions) * self.size
         for position in fallback_positions:
-            answers[position] = self._execute_q2_dense(batch[position])
+            answers[position] = self._execute_q2_dense(
+                Query.from_vector(matrix[position], norms[position])
+            )
         elapsed = time.perf_counter() - start
-        self.statistics.record_batch(len(batch), scanned, selected, elapsed)
-        self._raise_on_empty(batch, answers, on_empty, "Q2")
+        self.statistics.record_batch(len(matrix), scanned, selected, elapsed)
+        self._raise_on_empty(matrix, norms, answers, on_empty, "Q2")
         return answers
 
     def _execute_q2_dense(self, query: Query) -> QueryAnswer:

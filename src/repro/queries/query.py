@@ -18,7 +18,14 @@ import numpy as np
 from ..exceptions import DimensionalityMismatchError, InvalidQueryError
 from .geometry import balls_overlap, lp_distance, overlap_degree
 
-__all__ = ["Query", "QueryAnswer", "QueryResultPair", "query_distance"]
+__all__ = [
+    "Query",
+    "QueryAnswer",
+    "QueryResultPair",
+    "query_distance",
+    "query_matrix",
+    "norm_groups",
+]
 
 
 @dataclass(frozen=True)
@@ -120,9 +127,58 @@ class Query:
         """Return whether a data point lies inside ``D(x, theta)``."""
         return lp_distance(self.center, point, p=self.norm_order) <= self.radius
 
+    def __eq__(self, other: object) -> bool:
+        """Value equality: same center, radius and norm order."""
+        if not isinstance(other, Query):
+            return NotImplemented
+        return (
+            self.radius == other.radius
+            and self.norm_order == other.norm_order
+            and np.array_equal(self.center, other.center)
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         center = np.array2string(self.center, precision=4, separator=", ")
         return f"Query(center={center}, radius={self.radius:.4g}, p={self.norm_order:g})"
+
+
+def query_matrix(queries: Sequence[Query]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(m, d + 1)`` ``[x, theta]`` matrix and ``(m,)`` norm column of a batch.
+
+    The one conversion from query objects to the columnar form every batch
+    kernel consumes; all queries must share one dimension.
+    """
+    if len(queries) == 0:
+        return np.empty((0, 0)), np.empty(0)
+    dimension = queries[0].dimension
+    if any(query.dimension != dimension for query in queries):
+        raise DimensionalityMismatchError(
+            "a query batch must share one dimension, got "
+            f"{sorted({query.dimension for query in queries})}"
+        )
+    matrix = np.empty((len(queries), dimension + 1))
+    matrix[:, :-1] = [query.center for query in queries]
+    matrix[:, -1] = [query.radius for query in queries]
+    norms = np.array([query.norm_order for query in queries], dtype=float)
+    return matrix, norms
+
+
+def norm_groups(
+    norms: float | np.ndarray, count: int
+) -> list[tuple[float, np.ndarray]]:
+    """Split a batch of ``count`` rows by norm order: ``[(order, rows)]``.
+
+    ``norms`` is one order for the whole batch or an ``(m,)`` column; each
+    distinct order yields the ascending row positions that use it.
+    """
+    column = np.asarray(norms, dtype=float)
+    if column.ndim == 0:
+        return [(float(column), np.arange(count))]
+    if column.size and (column == column[0]).all():
+        return [(float(column[0]), np.arange(count))]
+    return [
+        (float(order), np.flatnonzero(column == order)) for order in np.unique(column)
+    ]
 
 
 def query_distance(first: Query, second: Query) -> float:

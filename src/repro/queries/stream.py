@@ -10,15 +10,15 @@ replayable set of pairs used by the experiments.
 
 from __future__ import annotations
 
+import itertools
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..exceptions import WorkloadError
-from .query import Query, QueryResultPair
+from .query import Query, QueryResultPair, query_matrix
 
 __all__ = ["QueryAnswerStream", "LabelledWorkload", "QueryLog"]
 
@@ -74,13 +74,20 @@ class QueryLog:
     stream whose coverage the stale model is failing — instead of on a
     synthetic workload.  Old entries fall off the far end once ``capacity``
     is reached, making the log a sliding window over the query stream.
+
+    Entries live in one ``(capacity, d + 2)`` array of ``[x, theta, p]``
+    rows, written a batch at a time; :class:`Query` objects are built only
+    by :meth:`snapshot`.  A log holds queries of one dimension: recording a
+    query of another dimension restarts the window with it.
     """
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise WorkloadError(f"capacity must be >= 1, got {capacity}")
         self._capacity = int(capacity)
-        self._entries: deque[Query] = deque(maxlen=self._capacity)
+        self._rows: np.ndarray | None = None
+        self._start = 0  # ring position of the oldest retained row
+        self._size = 0
         self._lock = threading.Lock()
         self._recorded = 0
 
@@ -94,29 +101,68 @@ class QueryLog:
         return self._recorded
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._size
 
     def record(self, query: Query) -> None:
         """Append one query, evicting the oldest when full."""
-        with self._lock:
-            self._entries.append(query)
-            self._recorded += 1
+        self.record_many([query])
 
-    def record_many(self, queries: Iterable[Query]) -> None:
-        """Append many queries in stream order."""
+    def record_many(
+        self,
+        queries: Iterable[Query] | np.ndarray,
+        norm_order: float | np.ndarray | None = None,
+    ) -> None:
+        """Append many queries in stream order.
+
+        ``queries`` is an iterable of :class:`Query` objects or a raw
+        ``(m, d + 1)`` ``[x, theta]`` matrix whose Lp orders are
+        ``norm_order`` — one order or an ``(m,)`` column (Euclidean when
+        omitted).
+        """
+        if isinstance(queries, np.ndarray):
+            matrix = np.atleast_2d(queries)
+            norms = 2.0 if norm_order is None else norm_order
+        else:
+            matrix, norms = query_matrix(list(queries))
+        count = matrix.shape[0]
+        if count == 0:
+            return
+        width = matrix.shape[1] + 1
         with self._lock:
-            for query in queries:
-                self._entries.append(query)
-                self._recorded += 1
+            if self._rows is None or self._rows.shape[1] != width:
+                self._rows = np.empty((self._capacity, width))
+                self._start = self._size = 0
+            kept = min(count, self._capacity)
+            rows = np.empty((kept, width))
+            rows[:, :-1] = matrix[count - kept :]
+            rows[:, -1] = norms if np.ndim(norms) == 0 else norms[count - kept :]
+            end = (self._start + self._size) % self._capacity
+            head = min(kept, self._capacity - end)  # rows before wrapping
+            self._rows[end : end + head] = rows[:head]
+            self._rows[: kept - head] = rows[head:]
+            overflow = max(0, self._size + kept - self._capacity)
+            self._start = (self._start + overflow) % self._capacity
+            self._size = min(self._size + kept, self._capacity)
+            self._recorded += count
+
+    def _ordered_rows(self) -> np.ndarray:
+        """The retained ``[x, theta, p]`` rows, oldest first (lock held)."""
+        if self._rows is None:
+            return np.empty((0, 0))
+        return np.roll(self._rows, -self._start, axis=0)[: self._size]
 
     def snapshot(self) -> list[Query]:
         """A point-in-time copy of the retained queries, oldest first."""
         with self._lock:
-            return list(self._entries)
+            rows = self._ordered_rows()
+        return [
+            Query(center=row[:-2], radius=float(row[-2]), norm_order=float(row[-1]))
+            for row in rows
+        ]
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._start = self._size = 0
 
     def to_dict(self) -> dict:
         """Serialise the log (capacity, lifetime count, retained queries).
@@ -127,16 +173,13 @@ class QueryLog:
         traffic before it could retrain.
         """
         with self._lock:
+            rows = self._ordered_rows().tolist()
             return {
                 "capacity": self._capacity,
                 "total_recorded": self._recorded,
                 "queries": [
-                    {
-                        "center": [float(v) for v in query.center],
-                        "radius": float(query.radius),
-                        "norm_order": float(query.norm_order),
-                    }
-                    for query in self._entries
+                    {"center": row[:-2], "radius": row[-2], "norm_order": row[-1]}
+                    for row in rows
                 ],
             }
 
@@ -144,15 +187,17 @@ class QueryLog:
     def from_dict(cls, payload: dict) -> "QueryLog":
         """Rebuild a log serialised by :meth:`to_dict` (order preserved)."""
         log = cls(int(payload.get("capacity", 256)))
-        for entry in payload.get("queries", []):
-            log._entries.append(
-                Query(
-                    center=np.asarray(entry["center"], dtype=float),
-                    radius=float(entry["radius"]),
-                    norm_order=float(entry.get("norm_order", 2.0)),
-                )
+        queries = [
+            Query(
+                center=np.asarray(entry["center"], dtype=float),
+                radius=float(entry["radius"]),
+                norm_order=float(entry.get("norm_order", 2.0)),
             )
-        log._recorded = int(payload.get("total_recorded", len(log._entries)))
+            for entry in payload.get("queries", [])
+        ]
+        for _, run in itertools.groupby(queries, key=lambda query: query.dimension):
+            log.record_many(run)
+        log._recorded = int(payload.get("total_recorded", len(log)))
         return log
 
 

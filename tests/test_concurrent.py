@@ -247,6 +247,37 @@ class TestEquivalence:
             with pytest.raises(ConfigurationError):
                 front.submit_script(_script(1), on_error="explode")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "SELECT AVG(u) FROM sensors WITHIN 0.1 OF (nan, 0.5)",
+            "SELECT AVG(u) FROM sensors WITHIN 0.1 OF (0.5, inf)",
+            "SELECT AVG(u) FROM sensors WITHIN 1e400 OF (0.5, 0.5)",
+            "SELECT AVG(u) FROM sensors WITHIN 0.1 OF (0.4, 0.5, 0.6)",
+        ],
+    )
+    def test_invalid_statement_cannot_poison_a_coalesced_flush(
+        self, engine, model, bad
+    ):
+        # With the cache off, a non-finite (or wrong-dimension) statement
+        # used to be admitted and then fail inside the shared flush,
+        # turning a co-batched session's valid AVG into an error answer.
+        front = ConcurrentAnalyticsService(
+            _inner(engine, model),
+            policy=ConcurrencyPolicy(
+                coalesce_window_seconds=0.2, cache_capacity=0
+            ),
+        )
+        try:
+            good = front.submit_script(_script(1)[:1])  # waits in the window
+            with pytest.raises(SQLSyntaxError):
+                front.submit_script([bad])  # rejected on the caller's thread
+            (result,) = good.result(timeout=10.0)
+            assert result.ok and result.source == "model"
+            assert front.pending_statements == 0
+        finally:
+            front.close()
+
     def test_closed_front_rejects_submissions(self, engine, model):
         front = ConcurrentAnalyticsService(_inner(engine, model))
         front.close()

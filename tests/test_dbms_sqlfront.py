@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,14 @@ from repro.config import ModelConfig, TrainingConfig
 from repro.core.model import LLMModel
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
-from repro.dbms.sqlfront import AnalyticsSession, parse_script, parse_statement
+from repro.dbms.sqlfront import (
+    KINDS,
+    AnalyticsSession,
+    ParsedStatement,
+    StatementBatch,
+    parse_script,
+    parse_statement,
+)
 from repro.exceptions import EmptySubspaceError, SQLSyntaxError
 from repro.queries.query import Query
 from repro.queries.stream import LabelledWorkload
@@ -89,6 +98,22 @@ class TestParseStatement:
         assert statement.norm_order == expected
         assert statement.to_query().norm_order == expected
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT AVG(u) FROM t WITHIN 0.1 OF (nan, 0.5)",
+            "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.3, inf)",
+            "SELECT AVG(u) FROM t WITHIN 0.1 OF (-Infinity)",
+            "SELECT AVG(u) FROM t WITHIN 0.1 OF (1e400, 0.5)",
+            "SELECT AVG(u) FROM t WITHIN 1e400 OF (0.3, 0.5)",
+        ],
+    )
+    def test_non_finite_values_are_syntax_errors(self, sql):
+        with pytest.raises(SQLSyntaxError):
+            parse_statement(sql)
+        with pytest.raises(SQLSyntaxError):
+            parse_script(f"SELECT AVG(u) FROM t WITHIN 0.1 OF (0.3, 0.5); {sql}")
+
     def test_norm_clause_below_one_rejected(self):
         with pytest.raises(SQLSyntaxError):
             parse_statement("SELECT AVG(u) FROM t WITHIN 0.1 OF (0.3) NORM 0.5")
@@ -122,6 +147,175 @@ class TestParseScript:
         with pytest.raises(SQLSyntaxError):
             parse_script("SELECT AVG(u) FROM t WITHIN 0.1 OF (0.3); DROP TABLE t;")
 
+
+class TestStatementBatch:
+    def test_columns_of_a_mixed_script(self):
+        batch = parse_script(
+            "SELECT AVG(u) FROM a WITHIN 0.1 OF (0.3, 0.5);"
+            "SELECT COUNT(*) FROM b WITHIN 0.2 OF (0.1, 0.2, 0.3) NORM INF;"
+            "SELECT REGRESSION(u) FROM a WITHIN 0.3 OF (0.4, 0.6) NORM 1"
+        )
+        assert len(batch) == 3
+        assert batch.table_names == ("a", "b")
+        assert [KINDS[k] for k in batch.kinds] == ["q1", "count", "q2"]
+        assert list(batch.dims) == [2, 3, 2]
+        assert np.isnan(batch.norms[0]) and list(batch.norms[1:]) == [np.inf, 1.0]
+        assert batch.groups() == [
+            ("a", "q1", [0]),
+            ("b", "count", [1]),
+            ("a", "q2", [2]),
+        ]
+        assert batch.query_matrix(np.array([0, 2])).tolist() == [
+            [0.3, 0.5, 0.1],
+            [0.4, 0.6, 0.3],
+        ]
+        with pytest.raises(SQLSyntaxError):
+            batch.query_matrix(np.array([0, 1]))  # 2-D and 3-D rows
+
+    def test_from_statements_keeps_the_objects(self):
+        statements = [
+            parse_statement("SELECT AVG(u) FROM a WITHIN 0.1 OF (0.3, 0.5)"),
+            parse_statement("SELECT COUNT(*) FROM a WITHIN 0.2 OF (0.1, 0.2)"),
+        ]
+        batch = StatementBatch.from_statements(statements)
+        assert all(got is want for got, want in zip(batch, statements))
+        assert batch == statements
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            ParsedStatement("q1", "t", (float("nan"), 0.5), 0.1),
+            ParsedStatement("q1", "t", (0.5,), float("inf")),
+            ParsedStatement("q1", "t", (0.5,), -0.1),
+            ParsedStatement("q1", "t", (), 0.1),
+            ParsedStatement("q1", "t", (0.5,), 0.1, norm_order=0.5),
+            ParsedStatement("avg", "t", (0.5,), 0.1),  # type: ignore[arg-type]
+        ],
+    )
+    def test_from_statements_rejects_invalid_objects(self, statement):
+        with pytest.raises(SQLSyntaxError):
+            StatementBatch.from_statements([statement])
+
+
+_PROJECTIONS = (
+    "AVG(u)", "avg( u )", "Avg(u )", "REGRESSION(u)", "regression( u)",
+    "COUNT(*)", "count( * )",
+)
+_TABLES = ("sensors", "T2", "_t", "Readings_9")
+_SEPARATORS = (";", ";\n", " ; ", ";;", ";\n\n;", ";\t")
+_SPACES = (" ", "  ", "\t", "\n", " \n  ")
+#: Mutations that make a statement malformed (or non-finite).
+_MALFORMED = (
+    "DROP TABLE t",
+    "SELECT AVG(u) FROM t",
+    "SELECT * FROM t WITHIN 0.1 OF (0.1)",
+    "SELECT AVG(u) FROM t WITHIN abc OF (0.1)",
+    "SELECT AVG(u) FROM t WITHIN 0 OF (0.1)",
+    "SELECT AVG(u) FROM t WITHIN 1e400 OF (0.1)",
+    "SELECT AVG(u) FROM t WITHIN 0.1 OF ()",
+    "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.1, oops)",
+    "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.1,, 0.2)",
+    "SELECT AVG(u) FROM t WITHIN 0.1 OF (nan, 0.2)",
+    "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.2, -inf)",
+    "SELECT AVG(u) FROM t WITHIN 0.1 OF (1e400)",
+    "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.1) NORM 0.5",
+    "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.1) NORM",
+    "x SELECT AVG(u) FROM t WITHIN 0.1 OF (0.1)",
+    "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.1) junk",
+)
+
+
+def _number(rng: np.random.Generator, *, signed: bool) -> str:
+    value = rng.uniform(0.001, 2.0) * (rng.choice([-1, 1]) if signed else 1)
+    form = rng.integers(5)
+    if form == 0:
+        return repr(float(value))
+    if form == 1:
+        return f"{value:.3e}" if rng.random() < 0.5 else f"{value:.3E}"
+    if form == 2:
+        return f"{value:.2f}"
+    if form == 3:
+        return f"{abs(value):.4f}".lstrip("0") if not signed else f"{value:.4f}"
+    return str(int(rng.integers(1, 4)))
+
+
+def _random_statement(rng: np.random.Generator) -> str:
+    if rng.random() < 0.08:
+        return str(rng.choice(_MALFORMED))
+    space = lambda: str(rng.choice(_SPACES))  # noqa: E731
+    dimension = int(rng.integers(1, 4))
+    center = ",".join(
+        space() * int(rng.integers(2)) + _number(rng, signed=True)
+        for _ in range(dimension)
+    )
+    text = (
+        f"SELECT{space()}{rng.choice(_PROJECTIONS)}{space()}FROM{space()}"
+        f"{rng.choice(_TABLES)}{space()}WITHIN{space()}{_number(rng, signed=False)}"
+        f"{space()}OF{space() if rng.random() < 0.5 else ''}({center})"
+    )
+    if rng.random() < 0.4:
+        norm = rng.choice(
+            ["1", "2", "1.5", "3e0", "INF", "inf", "Infinity", "INFINITY"]
+        )
+        text += f"{space()}{'NORM' if rng.random() < 0.7 else 'norm'}{space()}{norm}"
+    if rng.random() < 0.2:
+        text = text.replace("FROM", "-- trailing; comment\nFROM", 1)
+    return text.lower() if rng.random() < 0.1 else text
+
+
+def _random_script(rng: np.random.Generator) -> str:
+    parts = []
+    for _ in range(int(rng.integers(0, 10))):
+        if rng.random() < 0.15:
+            parts.append(f"-- note {rng.integers(100)}; not a statement\n")
+        parts.append(_random_statement(rng))
+        parts.append(str(rng.choice(_SEPARATORS)))
+    if parts and rng.random() < 0.5:
+        parts.pop()  # no trailing separator
+    return "".join(parts)
+
+
+def _reference(script: str) -> list[ParsedStatement] | type:
+    """The per-statement parse of a script, or the exception type it raises."""
+    chunks = [c for c in re.sub(r"--[^\n]*", "", script).split(";") if c.strip()]
+    try:
+        return [parse_statement(chunk) for chunk in chunks]
+    except Exception as exc:  # noqa: BLE001 - the type is the observation
+        return type(exc)
+
+
+class TestScriptScannerDifferential:
+    """``parse_script``'s one-pass scan against per-statement parsing."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scan_matches_per_statement_parse(self, seed):
+        rng = np.random.default_rng([seed, 12])
+        rejected = accepted = 0
+        for _ in range(120):
+            script = _random_script(rng)
+            reference = _reference(script)
+            if isinstance(reference, type):
+                with pytest.raises(reference):
+                    parse_script(script)
+                rejected += 1
+                continue
+            batch = parse_script(script)
+            accepted += 1
+            assert len(batch) == len(reference)
+            assert list(batch) == reference
+            for row, statement in enumerate(reference):
+                assert KINDS[batch.kinds[row]] == statement.kind
+                assert batch.table_names[batch.tables[row]] == statement.table
+                assert batch.dims[row] == len(statement.center)
+                given = batch.norms[row]
+                assert (statement.norm_order is None) == bool(np.isnan(given))
+                for default in (1.0, 2.0, float("inf")):
+                    query = statement.to_query(default)
+                    vector = batch.query_matrix(np.array([row]))[0]
+                    assert vector.tobytes() == query.to_vector().tobytes()
+                    order = default if np.isnan(given) else float(given)
+                    assert order == query.norm_order
+        assert accepted > 60 and rejected > 15  # both sides exercised
 
 @pytest.fixture(scope="module")
 def session() -> AnalyticsSession:

@@ -269,6 +269,70 @@ class TestExactMode:
         )
 
 
+class TestStatementValidation:
+    def test_wrong_dimension_is_a_caller_error_not_a_tier_fault(self, service):
+        # A 3-D center on the 2-D table used to turn its whole group into
+        # StorageError answers; three such scripts opened the exact breaker
+        # and valid COUNTs then failed with CircuitOpenError.
+        script = [
+            f"SELECT COUNT(*) FROM {TABLE} WITHIN 0.2 OF (0.5, 0.5)",
+            f"SELECT COUNT(*) FROM {TABLE} WITHIN 0.2 OF (0.5, 0.5, 0.5)",
+        ]
+        for _ in range(3):
+            with pytest.raises(SQLSyntaxError, match="statement 2"):
+                service.execute_script(script)
+        assert service.breaker_state(TABLE, "exact") == "closed"
+        assert service.breaker_state(TABLE, "model") == "closed"
+        assert service.statistics.statements_executed == 0  # nothing ran
+        count = service.execute(script[0])
+        assert isinstance(count, int) and count > 0
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF (nan, 0.5)",
+            f"SELECT AVG(u) FROM {TABLE} WITHIN 1e400 OF (0.5, 0.5)",
+        ],
+    )
+    def test_non_finite_statement_is_a_syntax_error(self, service, sql):
+        with pytest.raises(SQLSyntaxError):
+            service.execute_script([sql])
+
+    def test_tiers_receive_one_matrix_and_norm_column(self, engine, half_model):
+        seen: dict[str, tuple] = {}
+
+        class Recording:
+            def __init__(self, inner, name):
+                self._inner, self._name = inner, name
+
+            def __getattr__(self, item):
+                method = getattr(self._inner, item)
+                if not item.endswith(("_batch", "_with_coverage")):
+                    return method
+
+                def record(queries, *args, **kwargs):
+                    seen[self._name] = (queries, args, kwargs)
+                    return method(queries, *args, **kwargs)
+
+                return record
+
+        service = AnalyticsService(
+            {TABLE: Recording(engine, "engine")},
+            {TABLE: Recording(half_model, "model")},
+        )
+        statements = [s for s in _mixed_statements(30) if "AVG" in s]
+        statements.append(
+            f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF (0.2, 0.2) NORM 1"
+        )
+        service.execute_script(statements, mode="exact")
+        matrix, _, kwargs = seen["engine"]
+        assert isinstance(matrix, np.ndarray) and matrix.shape[1] == 3
+        assert list(np.unique(kwargs["norm_order"])) == [1.0, 2.0]
+        service.execute_script(statements, mode="model")
+        matrix, args, _ = seen["model"]
+        assert isinstance(matrix, np.ndarray) and list(np.unique(args[0])) == [1.0, 2.0]
+
+
 class TestModelMode:
     def test_count_rejected(self, service):
         with pytest.raises(SQLSyntaxError):
