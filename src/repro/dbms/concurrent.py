@@ -27,8 +27,11 @@ back to each caller in submission order with per-statement ``degraded`` /
 ``error`` flags preserved — fault containment stays per group, so a
 mid-batch tier failure errors only the statements of the affected
 ``(table, kind)`` group, never co-batched statements of other groups.  A
-group hitting :attr:`~ConcurrencyPolicy.max_batch_statements` flushes
-immediately (the window is a latency bound, not a throughput one).
+script's statements of one group enter the buffer in one locked step, so
+they always flush together.  A group hitting
+:attr:`~ConcurrencyPolicy.max_batch_statements` flushes immediately (the
+window is a latency bound, not a throughput one), and :meth:`close` cuts
+every pending window short.
 
 **Version-keyed answer cache.**  Repeated dashboard traffic is
 short-circuited by an :class:`AnswerCache` keyed on the canonicalised
@@ -117,7 +120,9 @@ class ConcurrencyPolicy:
         ``0`` disables coalescing (every submission flushes immediately).
     max_batch_statements:
         A pending group reaching this size flushes without waiting for
-        the window (bounds per-batch memory and worst-case latency).
+        the window (bounds per-batch memory and worst-case latency).  A
+        script's statements of one group are never split, so a flush holds
+        at most this many statements plus one script's share.
     cache_capacity:
         Answer-cache entries retained (LRU eviction); ``0`` disables the
         cache entirely.
@@ -373,6 +378,8 @@ class ConcurrentAnalyticsService:
         )
         self._origins = itertools.count()
         self._closed = False
+        # Set by close(): cuts every coalescing window short.
+        self._closing = threading.Event()
         self._statistics: dict[str, ServingStatistics] = {}
         self._stats_lock = make_lock(
             "concurrent.ConcurrentAnalyticsService.stats"
@@ -469,6 +476,7 @@ class ConcurrentAnalyticsService:
         """
         first_close = not self._closed
         self._closed = True
+        self._closing.set()
         if first_close:
             # Flush whatever the coalescer is still buffering: no new
             # arrivals can top these groups up, so their windows are moot.
@@ -637,11 +645,15 @@ class ConcurrentAnalyticsService:
             with self._outstanding_lock:
                 note_access(self, "outstanding")
                 self._outstanding.update(futures[p] for p, _, _ in misses)
+            # One enqueue per coalescer group, so a script's statements of
+            # one group always flush together.
+            groups: dict[tuple[str, str, str], list[_PendingEntry]] = {}
             for position, statement, key in misses:
-                entry = _PendingEntry(
-                    statement, key, futures[position], origin, now
+                groups.setdefault((statement.table, statement.kind, mode), []).append(
+                    _PendingEntry(statement, key, futures[position], origin, now)
                 )
-                self._enqueue((statement.table, statement.kind, mode), entry)
+            for group_key, entries in groups.items():
+                self._enqueue(group_key, entries)
         return ScriptFuture(futures, on_error, clock=self._clock)
 
     def execute_script(
@@ -762,7 +774,15 @@ class ConcurrentAnalyticsService:
     # ------------------------------------------------------------------ #
     # coalescer
     # ------------------------------------------------------------------ #
-    def _enqueue(self, group_key: tuple[str, str, str], entry: _PendingEntry) -> None:
+    def _enqueue(
+        self, group_key: tuple[str, str, str], entries: list[_PendingEntry]
+    ) -> None:
+        """Add one script's statements of one group in one locked step.
+
+        The step submits at most one task to the pool: the flush of a
+        full (or closing) buffer, or the window flush of a buffer that has
+        none scheduled yet.
+        """
         batch: list[_PendingEntry] | None = None
         schedule = False
         with self._groups_lock:
@@ -770,7 +790,7 @@ class ConcurrentAnalyticsService:
             group = self._groups.get(group_key)
             if group is None:
                 group = self._groups[group_key] = _PendingGroup()
-            group.entries.append(entry)
+            group.entries.extend(entries)
             if self._closed or (
                 len(group.entries) >= self._policy.max_batch_statements
             ):
@@ -796,7 +816,7 @@ class ConcurrentAnalyticsService:
                 with self._groups_lock:
                     note_access(self, "groups")
                     group = self._groups.get(group_key)
-                    stranded = group.entries if group is not None else [entry]
+                    stranded = group.entries if group is not None else entries
                     if group is not None:
                         group.entries = []
                         group.flush_scheduled = False
@@ -811,7 +831,8 @@ class ConcurrentAnalyticsService:
     def _window_flush(self, group_key: tuple[str, str, str]) -> None:
         window = self._policy.coalesce_window_seconds
         if window > 0.0:
-            time.sleep(window)
+            # close() sets the event: the drain then needs no window expiry.
+            self._closing.wait(window)
         with self._groups_lock:
             note_access(self, "groups")
             group = self._groups.get(group_key)

@@ -41,6 +41,7 @@ from .spatial_index import (
     GridIndex,
     batch_grid_cells_per_dimension,
     expand_ranges,
+    range_positions,
 )
 from .storage import SQLiteDataStore
 
@@ -219,20 +220,27 @@ def moment_products(deltas: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     """
     deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
     outputs = np.asarray(outputs, dtype=float).ravel()
-    rows, dimension = deltas.shape
     # One transposed copy makes every per-dimension factor contiguous, which
-    # roughly halves the wall-clock of the column products below.
-    transposed = np.ascontiguousarray(deltas.T)
-    products = np.empty((rows, moment_column_count(dimension)), dtype=float)
-    products[:, :dimension] = deltas
+    # roughly halves the wall-clock of the column products.
+    return _column_moment_products(np.ascontiguousarray(deltas.T), outputs)
+
+
+def _column_moment_products(
+    columns: Sequence[np.ndarray] | np.ndarray, outputs: np.ndarray
+) -> np.ndarray:
+    """:func:`moment_products` of deltas given as ``d`` contiguous columns."""
+    dimension = len(columns)
+    products = np.empty((outputs.size, moment_column_count(dimension)), dtype=float)
+    for j in range(dimension):
+        products[:, j] = columns[j]
     products[:, dimension] = outputs
     np.multiply(outputs, outputs, out=products[:, dimension + 1])
     for j in range(dimension):
-        np.multiply(transposed[j], outputs, out=products[:, dimension + 2 + j])
+        np.multiply(columns[j], outputs, out=products[:, dimension + 2 + j])
     column = 2 * dimension + 2
     for a in range(dimension):
         for b in range(a, dimension):
-            np.multiply(transposed[a], transposed[b], out=products[:, column])
+            np.multiply(columns[a], columns[b], out=products[:, column])
             column += 1
     return products
 
@@ -602,6 +610,32 @@ def _lp_rows(diff: np.ndarray, p: float) -> np.ndarray:
     return np.power(np.sum(np.power(np.abs(diff), p), axis=1), 1.0 / p)
 
 
+def _lp_columns(deltas: list[np.ndarray], p: float) -> np.ndarray:
+    """:func:`_lp_rows` of the rows whose ``d`` columns are ``deltas``.
+
+    For ``p`` in {1, 2, inf} and ``d < 8`` the norm accumulates column by
+    column.  NumPy sums fewer than eight elements of a row-major row in
+    order, so ``acc = dx*dx; acc += dy*dy; ...`` adds in the same order as
+    ``np.sum(axis=1)`` and returns the same bits without building the
+    ``(n, d)`` row matrix.  Other cases stack the columns and call
+    :func:`_lp_rows`.
+    """
+    if len(deltas) >= 8 or not (p in (1.0, 2.0) or math.isinf(p)):
+        return _lp_rows(np.column_stack(deltas), p)
+    if p == 2.0:
+        acc = deltas[0] * deltas[0]
+        for delta in deltas[1:]:
+            acc += delta * delta
+        return np.sqrt(acc, out=acc)
+    acc = np.abs(deltas[0])
+    for delta in deltas[1:]:
+        if p == 1.0:
+            acc += np.abs(delta)
+        else:
+            np.maximum(acc, np.abs(delta), out=acc)
+    return acc
+
+
 class SegmentedBatchPipeline:
     """Segmented candidate-range + cell-aggregate batch pipeline of one row set.
 
@@ -611,11 +645,20 @@ class SegmentedBatchPipeline:
     precomputed *materialized aggregates* (translated to the query center
     for Q2), and only boundary cells pay row-level exact Lp tests.  This
     class owns everything that pipeline needs about one contiguous row set —
-    the fine batch grid, the cell-clustered row copies, and the per-cell
+    the fine batch grid, the cell-clustered rows, and the per-cell
     aggregate tables — so the same machinery serves both the single engine
     (over the whole table) and every shard of the sharded engine (over the
     shard's row range).  Statistics of disjoint row sets merge by plain
     addition, exactly like the scan kernels'.
+
+    The clustered rows are held once, column-major: a ``(d, n)`` array
+    with one contiguous column per input attribute, in grid cell order.
+    The boundary test gathers its candidates with one 1-D ``take`` per
+    column and accumulates the Lp distance column by column (see
+    :func:`_lp_columns`); Q2 builds its moment products from the same
+    compressed columns.  Candidate runs come from the grid's dense
+    cell-offset tables (:class:`GridIndex`), whose length
+    ``cells_per_dimension**d + 1`` is ~``n / 8`` for the fine batch grid.
 
     Parameters
     ----------
@@ -638,7 +681,7 @@ class SegmentedBatchPipeline:
         self._outputs = outputs
         self._base_index = base_index
         self._grid: GridIndex | None = None
-        self._clustered_inputs: np.ndarray | None = None
+        self._clustered_columns: np.ndarray | None = None
         self._clustered_outputs: np.ndarray | None = None
         self._cell_aggregate_cache: dict[str, np.ndarray] = {}
 
@@ -673,16 +716,18 @@ class SegmentedBatchPipeline:
         return self._grid
 
     def _clustered_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell-clustered copies of the rows (lazy)."""
-        if self._clustered_inputs is None:
+        """Cell-clustered ``(d, n)`` input columns and outputs (lazy)."""
+        if self._clustered_columns is None:
             order = self.grid.clustered_order
-            self._clustered_inputs = self._inputs[order]
+            self._clustered_columns = np.ascontiguousarray(
+                np.take(self._inputs.T, order, axis=1)
+            )
             self._clustered_outputs = self._outputs[order]
-        if self._clustered_inputs is None or self._clustered_outputs is None:
+        if self._clustered_columns is None or self._clustered_outputs is None:
             raise InternalInvariantError(
                 "clustered row arrays missing after lazy build"
             )
-        return self._clustered_inputs, self._clustered_outputs
+        return self._clustered_columns, self._clustered_outputs
 
     def _cell_aggregates(self, kind: str) -> np.ndarray:
         """Per-occupied-cell sufficient statistics (lazy, one-time build).
@@ -699,16 +744,17 @@ class SegmentedBatchPipeline:
         grid = self.grid
         offsets = grid.cell_row_offsets
         cell_counts = np.diff(offsets)
-        clustered_inputs, clustered_outputs = self._clustered_arrays()
+        columns, clustered_outputs = self._clustered_arrays()
         if kind == "q1":
             aggregates = np.empty((cell_counts.size, 2), dtype=float)
             aggregates[:, 0] = cell_counts
             aggregates[:, 1] = np.add.reduceat(clustered_outputs, offsets[:-1])
         else:
-            references = np.repeat(grid.cell_centers, cell_counts, axis=0)
-            products = moment_products(
-                clustered_inputs - references, clustered_outputs
-            )
+            deltas = [
+                column - np.repeat(grid.cell_centers[:, j], cell_counts)
+                for j, column in enumerate(columns)
+            ]
+            products = _column_moment_products(deltas, clustered_outputs)
             aggregates = np.empty(
                 (cell_counts.size, 1 + products.shape[1]), dtype=float
             )
@@ -764,28 +810,36 @@ class SegmentedBatchPipeline:
         ) = grid.classified_ranges_batch(centers, radii, p=p)
         scanned = 0
 
-        # Boundary cells: exact membership test row by row.
+        # Boundary cells: exact membership test row by row.  Each run's
+        # center and radius are repeated over its rows, so no per-row query
+        # id is ever built; runs come grouped by query, so per-query counts
+        # are segment sums of the membership mask.
         if boundary_starts.size:
-            positions, candidate_qid = expand_ranges(
-                boundary_qid, boundary_starts, boundary_ends
-            )
+            lengths = boundary_ends - boundary_starts
+            positions = range_positions(boundary_starts, boundary_ends)
             scanned += positions.size
-            clustered_inputs, clustered_outputs = self._clustered_arrays()
-            difference = clustered_inputs[positions] - centers[candidate_qid]
-            distances = _lp_rows(difference, p)
-            inside = distances <= radii[candidate_qid]
+            columns, clustered_outputs = self._clustered_arrays()
+            deltas = [
+                column.take(positions) - np.repeat(centers[boundary_qid, j], lengths)
+                for j, column in enumerate(columns)
+            ]
+            inside = _lp_columns(deltas, p) <= np.repeat(radii[boundary_qid], lengths)
             selected_positions = positions[inside]
-            selected_qid = candidate_qid[inside]
-            boundary_counts = np.bincount(selected_qid, minlength=m)
+            candidate_counts = np.bincount(
+                boundary_qid, weights=lengths, minlength=m
+            ).astype(np.int64)
+            boundary_counts = np.zeros(m, dtype=np.int64)
+            self._segment_sums(inside, candidate_counts, boundary_counts)
             counts += boundary_counts
             if selected_positions.size:
+                selected_outputs = clustered_outputs.take(selected_positions)
                 if kind == "q1":
-                    values = clustered_outputs[selected_positions][:, np.newaxis]
+                    values = selected_outputs[:, np.newaxis]
                 else:
-                    # The candidate differences ARE the center-referenced
-                    # deltas; compressing them avoids a second gather.
-                    values = moment_products(
-                        difference[inside], clustered_outputs[selected_positions]
+                    # The candidate deltas ARE the center-referenced ones;
+                    # compressing them avoids a second gather.
+                    values = _column_moment_products(
+                        [delta[inside] for delta in deltas], selected_outputs
                     )
                 self._segment_sums(values, boundary_counts, sums)
 

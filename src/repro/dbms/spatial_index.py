@@ -32,6 +32,7 @@ __all__ = [
     "estimate_boundary_fraction",
     "estimate_candidate_fraction",
     "expand_ranges",
+    "range_positions",
 ]
 
 
@@ -115,6 +116,14 @@ def estimate_boundary_fraction(
     return candidate - np.prod(inner, axis=1)
 
 
+def range_positions(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The positions of the ``[start, end)`` runs, concatenated in order."""
+    lengths = ends - starts
+    offsets = np.cumsum(lengths) - lengths
+    total = int(lengths.sum())
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, lengths)
+
+
 def expand_ranges(
     query_ids: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -125,13 +134,7 @@ def expand_ranges(
     executor's segmented batch pipeline and by
     :meth:`PrototypeIndex.candidates_union`.
     """
-    lengths = ends - starts
-    offsets = np.cumsum(lengths) - lengths
-    total = int(lengths.sum())
-    positions = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - offsets, lengths
-    )
-    return positions, np.repeat(query_ids, lengths)
+    return range_positions(starts, ends), np.repeat(query_ids, ends - starts)
 
 #: Relative inflation applied to the query radius when computing candidate
 #: cell bounds.  The cell-pruning tests below compare floating-point
@@ -141,6 +144,12 @@ def expand_ranges(
 #: rows.  Inflation only ever admits extra *candidates* — the exact Lp
 #: membership test downstream is always evaluated with the caller's radius.
 _CANDIDATE_MARGIN = 1e-9
+
+#: Cap on the cells of a grid that builds dense offset tables (see
+#: :class:`GridIndex`): ``max(_DENSE_TABLE_CELLS_PER_ROW * n,
+#: _DENSE_TABLE_MIN_CELLS)``.
+_DENSE_TABLE_CELLS_PER_ROW = 4
+_DENSE_TABLE_MIN_CELLS = 1 << 16
 
 
 class GridIndex:
@@ -156,6 +165,20 @@ class GridIndex:
     bounds:
         Optional ``(low, high)`` arrays describing the domain.  Defaults to
         the min/max of the indexed points.
+
+    Batched candidate generation works on a *clustered* layout, built on
+    first use: the rows sorted by row-major flat cell id
+    (:attr:`clustered_order`), the occupied-cell directory
+    (:attr:`cell_flats`, :attr:`cell_row_offsets`, :attr:`cell_centers`)
+    and two dense offset tables of length ``cells_per_dimension**d + 1``,
+    counting the clustered rows and the occupied cells before each flat
+    id.  A run of cells ``[f, g]`` then maps to its clustered rows (or
+    occupied cells) with two table lookups, with no binary search.  The
+    tables cost ``16 (cells_per_dimension**d + 1)`` bytes; for the batch
+    grids (~``n / 8`` cells, see :func:`batch_grid_cells_per_dimension`)
+    that is about two bytes per row.  A grid with more than
+    ``max(4 n, 65536)`` cells skips the tables and binary-searches
+    :attr:`cell_flats` instead, with the same results.
     """
 
     def __init__(
@@ -203,8 +226,9 @@ class GridIndex:
         # Clustered (cell-sorted) layout for the batched candidate path;
         # built lazily on first use since single-query probing never needs it.
         self._clustered_order: np.ndarray | None = None
-        self._clustered_flat: np.ndarray | None = None
         self._cell_flats: np.ndarray = np.empty(0, dtype=np.int64)
+        self._rows_before_table: np.ndarray | None = None
+        self._cells_before_table: np.ndarray | None = None
         self._cell_row_offsets: np.ndarray = np.empty(0, dtype=np.int64)
         self._cell_centers_array: np.ndarray = np.empty((0, self._dimension))
 
@@ -270,10 +294,8 @@ class GridIndex:
         coords = self._cell_coordinates(self._points).astype(np.int64)
         flat = coords @ self._flat_strides()
         order = np.argsort(flat, kind="stable")
-        self._clustered_order = order
-        self._clustered_flat = flat[order]
         # Occupied-cell directory: flat ids, row segment per cell, centers.
-        flats, first = np.unique(self._clustered_flat, return_index=True)
+        flats, first = np.unique(flat[order], return_index=True)
         self._cell_flats = flats
         self._cell_row_offsets = np.append(first, self._count).astype(np.int64)
         strides = self._flat_strides()
@@ -283,6 +305,36 @@ class GridIndex:
         self._cell_centers_array = (
             self._low + (cell_coords + 0.5) * self._cell_width
         )
+        # Dense offset tables over every grid cell: entry ``f`` counts the
+        # occupied cells / clustered rows whose flat id is below ``f``.
+        total = self._cells_per_dimension**self._dimension
+        if total <= max(
+            _DENSE_TABLE_CELLS_PER_ROW * self._count, _DENSE_TABLE_MIN_CELLS
+        ):
+            self._cells_before_table = np.searchsorted(
+                flats, np.arange(total + 1, dtype=np.int64), side="left"
+            )
+            self._rows_before_table = self._cell_row_offsets[
+                self._cells_before_table
+            ]
+        # Set last: a non-None order marks the whole layout as built.
+        self._clustered_order = order
+
+    def _cells_before(self, flats: np.ndarray) -> np.ndarray:
+        """Occupied cells whose flat id is below each of ``flats``.
+
+        ``flats`` lie in ``[0, cells_per_dimension**d]``; the count for
+        ``f + 1`` is the count of cells at or below ``f``.
+        """
+        if self._cells_before_table is not None:
+            return self._cells_before_table[flats]
+        return np.searchsorted(self._cell_flats, flats, side="left")
+
+    def _rows_before(self, flats: np.ndarray) -> np.ndarray:
+        """Clustered rows whose cell's flat id is below each of ``flats``."""
+        if self._rows_before_table is not None:
+            return self._rows_before_table[flats]
+        return self._cell_row_offsets[self._cells_before(flats)]
 
     @property
     def cell_flats(self) -> np.ndarray:
@@ -395,10 +447,6 @@ class GridIndex:
         if radii.size and (np.min(radii) < 0 or not np.all(np.isfinite(radii))):
             raise ConfigurationError("radii must all be finite and >= 0")
         self._ensure_clustered()
-        if self._clustered_flat is None:
-            raise InternalInvariantError(
-                "clustered cell ids missing after _ensure_clustered"
-            )
         empty = np.empty(0, dtype=np.int64)
         m, d = centers.shape
         if m == 0:
@@ -487,8 +535,8 @@ class GridIndex:
         base = lead_coords @ strides[: d - 1] if d > 1 else np.zeros(qid.size, np.int64)
 
         if not classify:
-            starts = np.searchsorted(self._clustered_flat, base + last_lo, side="left")
-            ends = np.searchsorted(self._clustered_flat, base + last_hi, side="right")
+            starts = self._rows_before(base + last_lo)
+            ends = self._rows_before(base + last_hi + 1)
             nonempty = ends > starts
             return qid[nonempty], starts[nonempty], ends[nonempty], empty, empty, empty
 
@@ -516,20 +564,16 @@ class GridIndex:
         bnd_first = bnd_first[order]
         bnd_last = bnd_last[order]
         ok = bnd_last >= bnd_first
-        bnd_starts = np.searchsorted(self._clustered_flat, bnd_first[ok], side="left")
-        bnd_ends = np.searchsorted(self._clustered_flat, bnd_last[ok], side="right")
+        bnd_starts = self._rows_before(bnd_first[ok])
+        bnd_ends = self._rows_before(bnd_last[ok] + 1)
         bnd_keep = bnd_ends > bnd_starts
         bnd_qid = bnd_qid[ok][bnd_keep]
         bnd_starts = bnd_starts[bnd_keep]
         bnd_ends = bnd_ends[bnd_keep]
 
         in_ok = has_inner
-        cell_starts = np.searchsorted(
-            self._cell_flats, (base + inner_lo)[in_ok], side="left"
-        )
-        cell_ends = np.searchsorted(
-            self._cell_flats, (base + inner_hi)[in_ok], side="right"
-        )
+        cell_starts = self._cells_before((base + inner_lo)[in_ok])
+        cell_ends = self._cells_before((base + inner_hi)[in_ok] + 1)
         cell_keep = cell_ends > cell_starts
         inner_qid = qid[in_ok][cell_keep]
         cell_starts = cell_starts[cell_keep]

@@ -451,6 +451,40 @@ class TestFaultContainment:
             front.close()
 
 
+class TestCoalescerGrouping:
+    def test_script_group_executes_in_one_inner_batch(self, engine, model):
+        # A zero window flushes as soon as a worker picks the group up.  A
+        # script's statements of one group still go in together: they
+        # enter the buffer in one locked step.  A tiny GIL switch interval
+        # hands the worker the interpreter between any two enqueues, which
+        # split the group when statements were enqueued one at a time.
+        import sys
+
+        batches: list[int] = []
+
+        class RecordingService(AnalyticsService):
+            def execute_script(self, script, **kwargs):
+                batches.append(len(script))
+                return super().execute_script(script, **kwargs)
+
+        front = ConcurrentAnalyticsService(
+            RecordingService({TABLE: engine}, {TABLE: model}),
+            policy=ConcurrencyPolicy(coalesce_window_seconds=0.0, cache_capacity=0),
+        )
+        script = _script(40)[:-1]  # 40 AVG statements: one group
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                batches.clear()
+                results = front.execute_script(script, mode="exact")
+                assert all(r.ok for r in results)
+                assert batches == [len(script)]
+        finally:
+            sys.setswitchinterval(interval)
+            front.close()
+
+
 class TestSessionFacade:
     def test_session_attaches_to_concurrent_front(self, engine, model):
         with ConcurrentAnalyticsService(_inner(engine, model)) as front:
@@ -553,6 +587,22 @@ class TestShutdownDrain:
         front.close(drain_seconds=10.0)
         results = future.result(timeout=1.0)
         assert all(r.ok for r in results)
+        assert front.pending_statements == 0
+
+    def test_close_cuts_a_long_window_short(self, engine, model):
+        import time as _time
+
+        front = ConcurrentAnalyticsService(
+            _inner(engine, model),
+            policy=ConcurrencyPolicy(coalesce_window_seconds=3.0),
+        )
+        futures = [front.submit_script(_script(3)) for _ in range(3)]
+        assert front.pending_statements > 0
+        started = _time.monotonic()
+        front.close(drain_seconds=0.5)
+        assert _time.monotonic() - started < 0.55
+        for future in futures:
+            assert all(r.ok for r in future.result(timeout=1.0))
         assert front.pending_statements == 0
 
     def test_close_waits_for_in_flight_flush(self, engine, model):
