@@ -627,12 +627,10 @@ def _lp_columns(deltas: list[np.ndarray], p: float) -> np.ndarray:
         for delta in deltas[1:]:
             acc += delta * delta
         return np.sqrt(acc, out=acc)
+    combine = np.add if p == 1.0 else np.maximum
     acc = np.abs(deltas[0])
     for delta in deltas[1:]:
-        if p == 1.0:
-            acc += np.abs(delta)
-        else:
-            np.maximum(acc, np.abs(delta), out=acc)
+        combine(acc, np.abs(delta), out=acc)
     return acc
 
 
